@@ -10,6 +10,12 @@ ratio that those curvatures certify.
 Everything here is exhaustive and deterministic: argmax ties break toward the
 smallest action index, enumerations run in lexicographic order, and budget
 guards refuse enumerations larger than the configured number of evaluations.
+
+The enumerations evaluate the objective once per string into value tables,
+one numpy array of shape ``(m,) * n`` per string length ``n``, and compute
+each quantity as elementwise expressions and reductions over those tables.
+Only :func:`greedy_string` walks the objective directly, since it needs just
+O(m * K) evaluations.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .common import (
     DEFAULT_BUDGET,
@@ -173,23 +181,70 @@ def greedy_string(f: StringObjective, horizon: int) -> GreedyTrace:
     return _greedy(_cached_evaluator(f), f.ground_size, horizon)
 
 
-def _bruteforce(
-    ev: Callable[[ActionString], float],
-    ground_size: int,
-    horizon: int,
-    budget: int,
-) -> tuple[ActionString, float]:
-    required = ground_size**horizon
-    ensure_budget(required, budget, "brute-force string search")
-    best_string: Optional[ActionString] = None
-    best_value = -math.inf
-    for candidate in itertools.product(range(ground_size), repeat=horizon):
-        value = ev(candidate)
-        if value > best_value:
-            best_string = candidate
-            best_value = value
-    assert best_string is not None
-    return best_string, best_value
+# Evaluations each exhaustive phase is charged against the budget, in the
+# order the guarantee report runs the phases.
+_PHASE_REQUIREMENTS: dict[str, Callable[[int, int], int]] = {
+    "brute-force string search": lambda m, K: m**K,
+    "prefix-monotonicity check": lambda m, K: sum((n + 1) * m**n for n in range(1, K + 1)),
+    "diminishing-return check": lambda m, K: sum((n + 1) * m**n * m for n in range(K)),
+    "total-curvature enumeration": lambda m, K: (K - 1) * m**K,
+    "forward-curvature enumeration": lambda m, K: sum(
+        m ** (j - i) for i in range(K) for j in range(i + 1, K + 1)
+    ),
+}
+
+
+def _ensure_budgets(ground_size: int, horizon: int, budget: int, *phases: str) -> None:
+    for phase in phases:
+        ensure_budget(_PHASE_REQUIREMENTS[phase](ground_size, horizon), budget, phase)
+
+
+def _level(f: StringObjective, length: int) -> np.ndarray:
+    """``f`` on every string of ``length``, evaluated in lexicographic order.
+
+    The result has shape ``(m,) * length``: entry ``s`` holds f(s).
+    """
+    m = f.ground_size
+    strings = itertools.product(range(m), repeat=length)
+    values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=m**length)
+    return values.reshape((m,) * length)
+
+
+def _tables(f: StringObjective, horizon: int) -> list[np.ndarray]:
+    """Value tables of every length 0..horizon; each string is evaluated once."""
+    return [_level(f, length) for length in range(horizon + 1)]
+
+
+def _lookup(tables: list[np.ndarray]) -> Callable[[ActionString], float]:
+    return lambda string: float(tables[len(string)][string])
+
+
+def _expand(values: np.ndarray, lead: int, extra: int) -> np.ndarray:
+    """Insert ``extra`` unit axes after the first ``lead`` axes, for broadcasting.
+
+    A table indexed by a prefix then lines up with a table indexed by its
+    extensions: the inserted axes stand for the appended actions.
+    """
+    shape = np.shape(values)
+    return np.reshape(values, shape[:lead] + (1,) * extra + shape[lead:])
+
+
+def _string_at(flat_index: int, shape: tuple[int, ...]) -> ActionString:
+    return tuple(int(a) for a in np.unravel_index(flat_index, shape))
+
+
+def _first(mask: np.ndarray) -> Optional[ActionString]:
+    """Lexicographically first index at which ``mask`` holds, if any."""
+    flat = mask.ravel()
+    if not flat.any():
+        return None
+    return _string_at(int(np.argmax(flat)), mask.shape)
+
+
+def _bruteforce(full: np.ndarray) -> tuple[ActionString, float]:
+    # argmax returns the first maximum, which is the lexicographic tie-break.
+    index = int(np.argmax(full))
+    return _string_at(index, full.shape), float(full.flat[index])
 
 
 def optimal_string_bruteforce(
@@ -203,12 +258,26 @@ def optimal_string_bruteforce(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _bruteforce(_cached_evaluator(f), f.ground_size, horizon, budget)
+    _ensure_budgets(f.ground_size, horizon, budget, "brute-force string search")
+    return _bruteforce(_level(f, horizon))
 
 
-def _all_strings(ground_size: int, max_len: int):
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(ground_size), repeat=length)
+def _prefix_monotone(
+    tables: list[np.ndarray], tol: float
+) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
+    for length in range(1, len(tables)):
+        # violated[cut][s]: string s is worth less than its prefix of length cut.
+        violated = np.stack(
+            [
+                tables[length] < _expand(tables[cut] - tol, cut, length - cut)
+                for cut in range(length)
+            ]
+        )
+        string = _first(violated.any(axis=0))
+        if string is not None:
+            cut = int(np.argmax(violated[(slice(None),) + string]))
+            return False, (string[:cut], string)
+    return True, None
 
 
 def check_prefix_monotone(
@@ -221,18 +290,29 @@ def check_prefix_monotone(
 
     Checks every pair (prefix, string) with string length up to ``horizon``,
     including the empty prefix (so nonnegativity is covered).  Returns the
-    first witness pair on failure.
+    first witness pair on failure, ordered by string length, then string,
+    then prefix length.
     """
-    m = f.ground_size
-    required = sum((n + 1) * m**n for n in range(1, horizon + 1))
-    ensure_budget(required, budget, "prefix-monotonicity check")
-    ev = _cached_evaluator(f)
-    for string in _all_strings(m, horizon):
-        value = ev(string)
-        for cut in range(len(string)):
-            prefix = string[:cut]
-            if value < ev(prefix) - tol:
-                return False, (prefix, string)
+    _ensure_budgets(f.ground_size, horizon, budget, "prefix-monotonicity check")
+    return _prefix_monotone(_tables(f, horizon), tol)
+
+
+def _diminishing_return(
+    tables: list[np.ndarray], tol: float
+) -> tuple[bool, Optional[tuple[ActionString, ActionString, int]]]:
+    # gains[n][s + (a,)] = f(s + (a,)) - f(s) for every string s of length n.
+    gains = [tables[n + 1] - _expand(tables[n], n, 1) for n in range(len(tables) - 1)]
+    for length in range(1, len(gains)):
+        limit = gains[length] - tol
+        # Axes of violated: prefix length cut, the longer string, the action.
+        violated = np.stack(
+            [_expand(gains[cut], cut, length - cut) < limit for cut in range(length)]
+        )
+        longer = _first(violated.any(axis=(0, -1)))
+        if longer is not None:
+            at_longer = violated[(slice(None),) + longer]
+            cut, action = divmod(int(np.argmax(at_longer)), at_longer.shape[1])
+            return False, (longer[:cut], longer, action)
     return True, None
 
 
@@ -246,51 +326,28 @@ def check_diminishing_return(
 
     For every prefix pair M of N with |N| <= horizon - 1 and every action a,
     requires gain of a at M >= gain of a at N.  Returns a witness (M, N, a)
-    on failure.
+    on failure, the first by length of N, then N, then length of M, then a.
     """
-    m = f.ground_size
-    required = sum((n + 1) * m**n * m for n in range(horizon))
-    ensure_budget(required, budget, "diminishing-return check")
-    ev = _cached_evaluator(f)
-    for length in range(horizon):
-        for longer in itertools.product(range(m), repeat=length):
-            gain_long = [ev(longer + (a,)) - ev(longer) for a in range(m)]
-            for cut in range(length):
-                shorter = longer[:cut]
-                for action in range(m):
-                    if ev(shorter + (action,)) - ev(shorter) < gain_long[action] - tol:
-                        return False, (shorter, longer, action)
-    return True, None
+    _ensure_budgets(f.ground_size, horizon, budget, "diminishing-return check")
+    return _diminishing_return(_tables(f, horizon), tol)
 
 
-def _eta(
-    ev: Callable[[ActionString], float],
-    trace: GreedyTrace,
-    ground_size: int,
-    horizon: int,
-    budget: int,
-) -> tuple[float, int]:
+def _eta(full: np.ndarray, trace: GreedyTrace, horizon: int) -> tuple[float, int]:
     if horizon < 2:
         raise UndefinedCurvatureError("total curvature has no terms for a single-stage horizon")
-    full_count = ground_size**horizon
-    ensure_budget((horizon - 1) * full_count, budget, "total-curvature enumeration")
-    full_strings = list(itertools.product(range(ground_size), repeat=horizon))
-    full_values = [ev(s) for s in full_strings]
     best = -math.inf
     skipped = 0
     for i in range(1, horizon):
         denom = trace.prefix_values[i - 1]
         if denom <= 0.0:
-            skipped += full_count
+            skipped += full.size
             continue
-        head = trace.string[:i]
+        # spliced[M] = f((G_{1:i}, M_{i+1:K})) for every full-length string M.
+        spliced = _expand(full[trace.string[:i]], 0, i)
         scale = horizon / (horizon - i)
         frac = (horizon - i) / horizon
-        for string, value in zip(full_strings, full_values):
-            spliced = ev(head + string[i:])
-            term = scale * (1.0 - (spliced - frac * value) / denom)
-            if term > best:
-                best = term
+        terms = scale * (1.0 - (spliced - frac * full) / denom)
+        best = max(best, float(terms.max()))
     if best == -math.inf:
         raise UndefinedCurvatureError("every total-curvature term was skipped")
     return best, skipped
@@ -310,41 +367,27 @@ def total_curvature_eta(
     whose greedy prefix value is not strictly positive are skipped and
     counted; if nothing survives the curvature is undefined.
     """
-    return _eta(_cached_evaluator(f), greedy, f.ground_size, horizon, budget)
-
-
-def _sigma_required(ground_size: int, horizon: int) -> int:
-    return sum(
-        ground_size ** (j - i)
-        for i in range(horizon)
-        for j in range(i + 1, horizon + 1)
-    )
+    _ensure_budgets(f.ground_size, horizon, budget, "total-curvature enumeration")
+    return _eta(_level(f, horizon), greedy, horizon)
 
 
 def _sigma(
-    ev: Callable[[ActionString], float],
-    trace: GreedyTrace,
-    ground_size: int,
-    horizon: int,
-    budget: int,
-    tol: float,
+    tables: list[np.ndarray], trace: GreedyTrace, horizon: int, tol: float
 ) -> tuple[float, int]:
-    ensure_budget(_sigma_required(ground_size, horizon), budget, "forward-curvature enumeration")
     best = -math.inf
     skipped = 0
     for i in range(horizon):
         head = trace.string[:i]
-        base = ev(head)
+        # gain[a] = f(G_{1:i} + (a,)) - f(G_{1:i}), the one-step gain of action a.
+        gain = tables[i + 1][head] - tables[i][head]
         for j in range(i + 1, horizon + 1):
-            for block in itertools.product(range(ground_size), repeat=j - i):
-                denom = ev(head + block) - ev(head + block[:-1])
-                if denom <= tol:
-                    skipped += 1
-                    continue
-                numer = ev(head + (block[-1],)) - base
-                term = 1.0 - numer / denom
-                if term > best:
-                    best = term
+            # denom[b] = f(G_{1:i} + b) - f(G_{1:i} + b[:-1]) for every block b of length j - i.
+            denom = tables[j][head] - _expand(tables[j - 1][head], j - i - 1, 1)
+            kept = ~(denom <= tol)
+            skipped += denom.size - int(kept.sum())
+            terms = 1.0 - np.broadcast_to(gain, denom.shape)[kept] / denom[kept]
+            if terms.size:
+                best = max(best, float(terms.max()))
     if best == -math.inf:
         raise UndefinedCurvatureError("every forward-curvature term was skipped")
     return best, skipped
@@ -364,7 +407,9 @@ def forward_curvature_sigma(
     block's final marginal gain.  Terms whose denominator is at most ``tol``
     are skipped and counted.
     """
-    return _sigma(_cached_evaluator(f), greedy, f.ground_size, horizon, budget, tol)
+    _ensure_budgets(f.ground_size, horizon, budget, "forward-curvature enumeration")
+    # The subtree under the empty greedy prefix is every string up to the horizon.
+    return _sigma(_tables(f, horizon), greedy, horizon, tol)
 
 
 def curvature_bound(eta: float, sigma: float, horizon: int) -> float:
@@ -410,26 +455,31 @@ def greedy_guarantee_report(
     is prefix-monotone and the curvatures are defined, the achieved ratio is
     asserted against the finite-horizon bound (tolerance 1e-12); a violation
     raises :class:`GuaranteeViolationError` because the bound is proven.
+
+    Every phase's budget is checked before the first evaluation; then ``f``
+    is evaluated exactly once on every string of length 0..``horizon`` and
+    all phases read those values.
     """
-    ev = _cached_evaluator(f)
     m = f.ground_size
-    trace = _greedy(ev, m, horizon)
-    _, optimal_value = _bruteforce(ev, m, horizon, budget)
+    _ensure_budgets(m, horizon, budget, *_PHASE_REQUIREMENTS)
+    tables = _tables(f, horizon)
+    trace = _greedy(_lookup(tables), m, horizon)
+    _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
 
-    monotone, _ = check_prefix_monotone(f, horizon, budget=budget)
-    diminishing, _ = check_diminishing_return(f, horizon, budget=budget)
+    monotone, _ = _prefix_monotone(tables, VALUE_TOL)
+    diminishing, _ = _diminishing_return(tables, VALUE_TOL)
 
     flags: list[str] = []
     skipped = 0
     try:
-        eta, eta_skipped = _eta(ev, trace, m, horizon, budget)
+        eta, eta_skipped = _eta(tables[horizon], trace, horizon)
         skipped += eta_skipped
     except UndefinedCurvatureError:
         eta = math.nan
         flags.append("eta_undefined")
     try:
-        sigma, sigma_skipped = _sigma(ev, trace, m, horizon, budget, DENOM_TOL)
+        sigma, sigma_skipped = _sigma(tables, trace, horizon, DENOM_TOL)
         skipped += sigma_skipped
     except UndefinedCurvatureError:
         sigma = math.nan
@@ -495,12 +545,20 @@ def greedy_recursion_checks(
     the guarantee itself holds, so a violation points at an implementation
     bug rather than at the instance.
     """
-    ev = _cached_evaluator(f)
     m = f.ground_size
-    trace = _greedy(ev, m, horizon)
-    _, optimal_value = _bruteforce(ev, m, horizon, budget)
-    eta, _ = _eta(ev, trace, m, horizon, budget) if horizon >= 2 else (0.0, 0)
-    sigma, _ = _sigma(ev, trace, m, horizon, budget, DENOM_TOL)
+    _ensure_budgets(
+        m,
+        horizon,
+        budget,
+        "brute-force string search",
+        "total-curvature enumeration",
+        "forward-curvature enumeration",
+    )
+    tables = _tables(f, horizon)
+    trace = _greedy(_lookup(tables), m, horizon)
+    _, optimal_value = _bruteforce(tables[horizon])
+    eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
+    sigma, _ = _sigma(tables, trace, horizon, DENOM_TOL)
 
     share = (1.0 - sigma) / horizon
     decay = 1.0 - eta * share

@@ -25,6 +25,7 @@ from .common import (
     VALUE_TOL,
     GuaranteeViolationError,
     ensure_budget,
+    values_agree,
 )
 from .mdp import (
     MarkovPolicy,
@@ -305,9 +306,14 @@ def check_pdao_gps_equivalence(
     attainment is what is verified; the induced table may differ from the
     lexicographic pick on states that are never realized.
     """
+    return _pdao_gps_equivalence(obj, pdao_construct(obj.surrogate, budget=budget), tol)
+
+
+def _pdao_gps_equivalence(
+    obj: PolicyStringObjective, pdao: PdaoPolicy, tol: float
+) -> tuple[bool, tuple[StageEvidence, ...]]:
     model = obj.surrogate.model
     K = model.horizon
-    pdao = pdao_construct(obj.surrogate, budget=budget)
     induced = induced_stage_policies(pdao, model)
     index_of = {policy: i for i, policy in enumerate(obj.ground)}
     prefix: tuple[int, ...] = ()
@@ -343,6 +349,12 @@ def check_adp_pdao_identity(
     pdao = pdao_construct(
         SurrogateObjective(model=model, approximator=approximator), budget=budget
     )
+    return _adp_pdao_identity(run, pdao)
+
+
+def _adp_pdao_identity(
+    run: AdpRun, pdao: PdaoPolicy
+) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     by_noise = {record.noise: record for record in pdao.paths}
     mismatches = []
     for record in run.paths:
@@ -465,7 +477,8 @@ def adp_bound_report(
 
     The averaged surrogate becomes a string objective whose greedy strategy is
     the scheme itself; its brute-force optimum is cross-checked against
-    backward induction and its greedy value against the forward run.  When the
+    backward induction and its greedy value against the forward run, each to
+    ``tol`` relative to the size of the values compared.  When the
     monotonicity certificate holds, the achieved ratio is asserted against the
     finite-horizon curvature bound.  Models whose policy-string enumeration
     exceeds the budget still get exact values and the scheme checks, but the
@@ -484,8 +497,9 @@ def adp_bound_report(
     optimal_value = bellman_value
 
     obj = policy_string_objective(model, approximator, budget=budget)
-    gps_ok, _ = check_pdao_gps_equivalence(obj, budget=budget, tol=tol)
-    identity_ok, _ = check_adp_pdao_identity(model, approximator, budget=budget)
+    pdao = pdao_construct(obj.surrogate, budget=budget)
+    gps_ok, _ = _pdao_gps_equivalence(obj, pdao, tol)
+    identity_ok, _ = _adp_pdao_identity(run, pdao)
 
     if len(ground) ** K > budget:
         flags.append("bound_not_computed")
@@ -493,12 +507,12 @@ def adp_bound_report(
         curvature = greedy_guarantee_report(obj.objective, K, budget=budget)
         flags.extend(curvature.flags)
         optimal_value = curvature.optimal_value
-        if abs(optimal_value - bellman_value) > tol:
+        if not values_agree(optimal_value, bellman_value, tol):
             raise GuaranteeViolationError(
                 f"policy-string optimum {optimal_value!r} disagrees with "
                 f"backward induction {bellman_value!r}"
             )
-        if abs(curvature.greedy_value - adp_value) > tol:
+        if not values_agree(curvature.greedy_value, adp_value, tol):
             raise GuaranteeViolationError(
                 f"stage-wise greedy value {curvature.greedy_value!r} disagrees with "
                 f"the forward run {adp_value!r}"

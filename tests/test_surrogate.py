@@ -8,12 +8,15 @@ enough that the tests re-derive several of them inline.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
+import adpbound.surrogate
 from adpbound import (
     EvtgApproximator,
+    GeneratedInstanceSpec,
     RolloutConfig,
     SurrogateObjective,
     adp_bound_report,
@@ -26,16 +29,21 @@ from adpbound import (
     evaluate_policy_exact,
     exact_evtg_w,
     g_avg_eval,
+    generate_mdp_instances,
     gps_construct,
     greedy_string,
     induced_stage_policies,
+    instance_rng,
+    make_scheme,
     myopic_w,
     pdao_construct,
     policy_ground_set,
     policy_string_objective,
+    random_base_policy,
     rollout_w,
     surrogate_eval,
 )
+from adpbound.common import values_agree
 from conftest import schemes_for, zero_reward_model
 
 STAY_BASE = ((0, 0), (0, 0))
@@ -294,3 +302,42 @@ class TestBoundReport:
                 assert abs(report.optimal_value - best) <= 1e-12, name
                 if report.monotone_certificate:
                     assert report.ratio >= report.curvature.bound_finite_K - 1e-12
+
+    def test_forward_run_and_tree_built_once(self, m_noise, monkeypatch):
+        calls = {"adp_forward": 0, "pdao_construct": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(adpbound.surrogate, name), **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(adpbound.surrogate, name, counted)
+        report = adp_bound_report(m_noise, stay_rollout(m_noise))
+        assert calls == {"adp_forward": 1, "pdao_construct": 1}
+        assert report.pdao_matches_gps and report.adp_matches_pdao
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 2.0**20])
+    @pytest.mark.parametrize("scheme", ["myopic", "rollout", "exact_evtg"])
+    def test_value_cross_checks_scale_with_rewards(self, scale, scheme):
+        # The policy-string optimum and backward induction (and the greedy
+        # value and the forward run) add the same rewards in different orders.
+        # With rewards near 1e4..1e6 they can differ in the last bit, which an
+        # absolute 1e-12 tolerance reported as a certified failure.
+        for seed in range(8):
+            spec = GeneratedInstanceSpec(
+                kind="random_mdp", count=1, seed=seed,
+                num_states=3, num_actions=2, noise_size=3, horizon=3,
+            )
+            (model,) = generate_mdp_instances(spec)
+            model = dataclasses.replace(model, reward=model.reward * scale)
+            base = random_base_policy(instance_rng(seed, 1), model)
+            # Raises GuaranteeViolationError when a cross-check disagrees.
+            adp_bound_report(model, make_scheme(model, scheme, base_policy=base))
+
+
+def test_values_agree_is_absolute_up_to_one_and_relative_above():
+    assert values_agree(110110.08326521276, 110110.08326521277)
+    assert not values_agree(110110.0, 110110.0 * (1.0 + 1e-11))
+    assert values_agree(0.5, 0.5 + 0.9e-12)
+    assert not values_agree(0.5, 0.5 + 1.1e-12)
+    assert not values_agree(0.0, 2e-12)
