@@ -2,15 +2,17 @@
 """Exact solving of a small finite-horizon control problem.
 
 Walks through the two-state chain model: backward induction, exact policy
-evaluation by noise enumeration, exact value-to-go of a fixed tail, and the
-seeded Monte Carlo estimator agreeing with the exact numbers.
+evaluation by the same backward recursion, the exact value-to-go of a fixed
+base policy as the rollout scheme sees it, and the seeded Monte Carlo
+estimator agreeing with the exact numbers.
 """
 
 from adpbound import (
     MdpModel,
+    RolloutConfig,
     bellman_solve,
     evaluate_policy_exact,
-    exact_evtg,
+    rollout_w,
     simulate_policy_mc,
 )
 
@@ -54,8 +56,9 @@ def main() -> None:
     go = ((GO, GO), (GO, GO))
     print(f"  value of always staying: {evaluate_policy_exact(model, stay):.1f}")
     print(f"  value of always leaving: {evaluate_policy_exact(model, go):.1f}")
+    staying_tail = rollout_w(model, RolloutConfig(base_policy=stay))
     print(f"  value-to-go of (state 0, go) under a staying tail: "
-          f"{exact_evtg(model, (stay[1],), 1, 0, GO):.1f}")
+          f"{staying_tail.evaluate(1, 0, GO):.1f}")
 
     noisy = noisy_chain()
     leave_then_stay = ((GO, GO), (STAY, STAY))

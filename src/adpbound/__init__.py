@@ -8,7 +8,6 @@ the scheme's fraction-of-optimal performance from the surrogate's curvatures.
 """
 
 from .common import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     GuaranteeViolationError,
     ModelFormatError,
@@ -24,15 +23,11 @@ from .generators import (
     random_theta,
 )
 from .mdp import (
-    MarkovPolicy,
     MdpModel,
-    NoisePath,
-    PolicyString,
-    ValueTables,
+    backward_values,
     bellman_solve,
     enumerate_noise_paths,
     evaluate_policy_exact,
-    exact_evtg,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -40,24 +35,19 @@ from .mdp import (
     simulate_policy_mc,
 )
 from .schemes import (
-    AdpRun,
     EvtgApproximator,
     LinearQConfig,
-    PathRecord,
     RolloutConfig,
     adp_forward,
-    adp_simulate_mc,
     exact_evtg_w,
     linear_q_w,
     make_scheme,
     myopic_w,
     rollout_w,
+    scheme_policy,
 )
 from .stringopt import (
-    ActionString,
-    CurvatureReport,
     GreedyTrace,
-    InequalityCheck,
     StringObjective,
     asymptotic_curvature_bound,
     check_diminishing_return,
@@ -71,25 +61,18 @@ from .stringopt import (
     total_curvature_eta,
 )
 from .surrogate import (
-    AdpBoundReport,
-    MonotonicityCertificate,
-    PdaoPolicy,
-    PolicyStringObjective,
-    StageEvidence,
     SurrogateObjective,
     adp_bound_report,
     bound_report_to_dict,
     check_adp_pdao_identity,
     check_pdao_gps_equivalence,
     check_surrogate_monotonicity,
-    curvature_report_to_dict,
     g_avg_eval,
     gps_construct,
     induced_stage_policies,
     pdao_construct,
     policy_ground_set,
     policy_string_objective,
-    surrogate_eval,
 )
 
 __version__ = "0.1.0"

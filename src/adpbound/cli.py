@@ -40,9 +40,9 @@ from .generators import (
     random_base_policy,
     random_theta,
 )
-from .mdp import MdpModel, bellman_solve, load_model
+from .mdp import MdpModel, bellman_solve, load_model, simulate_policy_mc
 from .reporting import csv_text, json_text, write_text_atomic
-from .schemes import adp_forward, adp_simulate_mc, make_scheme
+from .schemes import adp_forward, make_scheme, scheme_policy
 from .stringopt import greedy_guarantee_report
 from .surrogate import (
     adp_bound_report,
@@ -195,8 +195,7 @@ def _scheme_for(model: MdpModel, args: argparse.Namespace, index: int = 0):
         if args.scheme == "linearq" and theta is None:
             theta = random_theta(rng, model)
     try:
-        return make_scheme(model, args.scheme, base_policy=base_policy, theta=theta,
-                           budget=args.budget)
+        return make_scheme(model, args.scheme, base_policy=base_policy, theta=theta)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
 
@@ -284,7 +283,9 @@ def cmd_run_adp(args: argparse.Namespace) -> int:
     scheme = _scheme_for(model, args)
     report: dict = {"command": "run-adp", "scheme": args.scheme}
     if args.mc is not None:
-        mean, stderr = adp_simulate_mc(model, scheme, samples=args.mc, seed=args.seed)
+        mean, stderr = simulate_policy_mc(
+            model, scheme_policy(model, scheme), samples=args.mc, seed=args.seed
+        )
         report.update({"mode": "mc", "mc_samples": args.mc, "seed": args.seed,
                        "mc_mean": mean, "mc_stderr": stderr})
     else:

@@ -1,11 +1,12 @@
-"""Finite-horizon tabular stochastic control with exact, enumeration-based evaluation.
+"""Finite-horizon tabular stochastic control with exact backward evaluation.
 
 Models are finite state/action tables driven by discrete i.i.d. noise; a
 deterministic problem is simply a model whose noise support has size one.
-Policies are per-stage state-to-action tables, and policy strings are
-evaluated exactly by enumerating every noise sequence.  Backward induction
-produces the optimal policy and value tables; a seeded Monte Carlo estimator
-is available as an opt-in fallback for models too large to enumerate.
+Policies are per-stage state-to-action tables.  One backward recursion,
+``backward_values``, gives both the exact value of a policy string (following
+its actions) and the optimal value and policy tables (taking the max).  A
+seeded Monte Carlo estimator is available as an opt-in fallback for noise
+trees too large to enumerate path by path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,9 +35,9 @@ __all__ = [
     "NoisePath",
     "ValueTables",
     "enumerate_noise_paths",
+    "backward_values",
     "evaluate_policy_exact",
     "bellman_solve",
-    "exact_evtg",
     "simulate_policy_mc",
     "model_from_dict",
     "model_to_dict",
@@ -179,37 +180,38 @@ def enumerate_noise_paths(
     return paths
 
 
-def _trajectory_reward(
-    model: MdpModel, policy: PolicyString, start: int, symbols: Sequence[int]
-) -> float:
-    x = start
-    total = 0.0
-    last = len(policy) - 1
-    for i, stage in enumerate(policy):
-        a = stage[x]
-        total += float(model.reward[x, a])
-        if i < last:
-            x = int(model.transition[x, a, symbols[i]])
-    return total
+def backward_values(
+    model: MdpModel, policy: Optional[PolicyString] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward recursion over a policy string, or over the optimum when ``policy`` is None.
+
+    Returns ``V`` of shape (L+1, S) with ``V[L] = 0`` and ``C`` of shape
+    (L, S, A), where ``C[k] = V[k+1][transition] @ noise_probs`` is the
+    expected value-to-go after taking each action at stage ``k``.  ``V[k]``
+    takes the max of ``reward + C[k]`` over actions, or follows ``policy[k]``;
+    L is the horizon, or the length of the policy string.
+    """
+    S, A = model.num_states, model.num_actions
+    if policy is not None:
+        validate_policy_string(model, policy)
+    L = model.horizon if policy is None else len(policy)
+    V = np.zeros((L + 1, S))
+    C = np.zeros((L, S, A))
+    states = np.arange(S)
+    for k in range(L - 1, -1, -1):
+        C[k] = V[k + 1][model.transition] @ model.noise_probs
+        Q = model.reward + C[k]
+        V[k] = Q.max(axis=1) if policy is None else Q[states, np.asarray(policy[k])]
+    return V, C
 
 
-def evaluate_policy_exact(
-    model: MdpModel, policy: PolicyString, budget: int = DEFAULT_BUDGET
-) -> float:
+def evaluate_policy_exact(model: MdpModel, policy: PolicyString) -> float:
     """Exact expected cumulative reward of a policy string from the initial state.
 
-    Enumerates every noise sequence of length ``len(policy) - 1``; the empty
-    policy string is worth 0.
+    The empty policy string is worth 0.
     """
-    validate_policy_string(model, policy)
-    if not policy:
-        return 0.0
-    total = 0.0
-    for path in enumerate_noise_paths(model, len(policy) - 1, budget=budget):
-        total += path.probability * _trajectory_reward(
-            model, policy, model.initial_state, path.symbols
-        )
-    return float(total)
+    V, _ = backward_values(model, policy)
+    return float(V[0, model.initial_state])
 
 
 def bellman_solve(model: MdpModel) -> tuple[PolicyString, ValueTables]:
@@ -219,49 +221,12 @@ def bellman_solve(model: MdpModel) -> tuple[PolicyString, ValueTables]:
     initial state is the optimum of the control problem and is cross-checkable
     against brute-force policy enumeration at desk scale.
     """
-    S, A, K = model.num_states, model.num_actions, model.horizon
-    V = np.zeros((K + 1, S))
-    Q = np.zeros((K, S, A))
-    for k in range(K - 1, -1, -1):
-        continuation = V[k + 1][model.transition] @ model.noise_probs
-        Q[k] = model.reward + continuation
-        V[k] = Q[k].max(axis=1)
+    V, C = backward_values(model)
+    Q = model.reward + C
     policy = tuple(
-        tuple(int(a) for a in Q[k].argmax(axis=1)) for k in range(K)
+        tuple(int(a) for a in Q[k].argmax(axis=1)) for k in range(model.horizon)
     )
-    return policy, ValueTables(V=V[:K], Q=Q)
-
-
-def exact_evtg(
-    model: MdpModel,
-    tail: PolicyString,
-    stage: int,
-    state: int,
-    action: int,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Exact expected value-to-go of following ``tail`` after (state, action).
-
-    ``tail`` must cover stages ``stage + 1 .. K``; at the final stage the tail
-    is empty and the value is 0 by the terminal convention.
-    """
-    if not 1 <= stage <= model.horizon:
-        raise ValueError("stage out of range")
-    if len(tail) != model.horizon - stage:
-        raise ValueError("tail must cover exactly the remaining stages")
-    if not tail:
-        return 0.0
-    validate_policy_string(model, tail)
-    paths = enumerate_noise_paths(model, len(tail) - 1, budget=budget)
-    total = 0.0
-    for n in range(model.noise_size):
-        successor = int(model.transition[state, action, n])
-        p = float(model.noise_probs[n])
-        for path in paths:
-            total += p * path.probability * _trajectory_reward(
-                model, tail, successor, path.symbols
-            )
-    return float(total)
+    return policy, ValueTables(V=V[:-1], Q=Q)
 
 
 def simulate_policy_mc(

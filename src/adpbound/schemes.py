@@ -23,10 +23,8 @@ from .common import DEFAULT_BUDGET
 from .mdp import (
     MdpModel,
     PolicyString,
-    bellman_solve,
+    backward_values,
     enumerate_noise_paths,
-    exact_evtg,
-    validate_policy_string,
 )
 
 __all__ = [
@@ -40,8 +38,8 @@ __all__ = [
     "linear_q_w",
     "exact_evtg_w",
     "make_scheme",
+    "scheme_policy",
     "adp_forward",
-    "adp_simulate_mc",
 ]
 
 
@@ -113,29 +111,27 @@ def myopic_w() -> EvtgApproximator:
     return EvtgApproximator(kind="myopic", evaluate=lambda stage, state, action: 0.0)
 
 
-def rollout_w(model: MdpModel, config: RolloutConfig, budget: int = DEFAULT_BUDGET) -> EvtgApproximator:
+def _continuation_w(kind: str, continuation: np.ndarray) -> EvtgApproximator:
+    """Read W from a (stage, state, action) continuation table of :func:`backward_values`."""
+
+    def evaluate(stage: int, state: int, action: int) -> float:
+        return float(continuation[stage - 1, state, action])
+
+    return EvtgApproximator(kind=kind, evaluate=evaluate)
+
+
+def rollout_w(model: MdpModel, config: RolloutConfig) -> EvtgApproximator:
     """Score (state, action) by the exact value-to-go of the base policy.
 
     ``evaluate(k, x, a)`` is the exact expected reward of taking ``a`` at ``x``
-    and following the base policy for stages k+1..K.
+    and following the base policy for stages k+1..K, read from one backward
+    evaluation of the base policy.
     """
     base = config.base_policy
     if len(base) != model.horizon:
         raise ValueError("base policy must cover every stage")
-    validate_policy_string(model, base)
-    cache: dict[tuple[int, int, int], float] = {}
-
-    def evaluate(stage: int, state: int, action: int) -> float:
-        if stage == model.horizon:
-            return 0.0
-        key = (stage, state, action)
-        value = cache.get(key)
-        if value is None:
-            value = exact_evtg(model, base[stage:], stage, state, action, budget=budget)
-            cache[key] = value
-        return value
-
-    return EvtgApproximator(kind="rollout", evaluate=evaluate)
+    _, continuation = backward_values(model, base)
+    return _continuation_w("rollout", continuation)
 
 
 def linear_q_w(model: MdpModel, config: LinearQConfig) -> EvtgApproximator:
@@ -161,14 +157,12 @@ def linear_q_w(model: MdpModel, config: LinearQConfig) -> EvtgApproximator:
 
 
 def exact_evtg_w(model: MdpModel) -> EvtgApproximator:
-    """Exact expected value-to-go of the optimal tail, for oracle comparisons."""
-    _, tables = bellman_solve(model)
-    continuation = tables.Q - model.reward[None, :, :]
+    """Exact expected value-to-go of the optimal tail, for oracle comparisons.
 
-    def evaluate(stage: int, state: int, action: int) -> float:
-        return float(continuation[stage - 1, state, action])
-
-    return EvtgApproximator(kind="exact_evtg", evaluate=evaluate)
+    Reads the continuation of backward induction, so r + W is Bellman's Q.
+    """
+    _, continuation = backward_values(model)
+    return _continuation_w("exact_evtg", continuation)
 
 
 def make_scheme(
@@ -176,7 +170,6 @@ def make_scheme(
     name: str,
     base_policy: Optional[PolicyString] = None,
     theta: Optional[np.ndarray] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> EvtgApproximator:
     """Build an approximator from its configuration name.
 
@@ -188,7 +181,7 @@ def make_scheme(
     if name == "rollout":
         if base_policy is None:
             raise ValueError("rollout scheme requires a base policy")
-        return rollout_w(model, RolloutConfig(base_policy=base_policy), budget=budget)
+        return rollout_w(model, RolloutConfig(base_policy=base_policy))
     if name == "linearq":
         if theta is None:
             raise ValueError("linearq scheme requires theta weights")
@@ -200,39 +193,43 @@ def make_scheme(
     raise ValueError(f"unknown scheme '{name}'")
 
 
-def _stage_choice(model: MdpModel, w: Callable[[int, int, int], float], stage: int, state: int) -> int:
-    best_action = 0
-    best_value = -math.inf
-    for action in range(model.num_actions):
-        value = float(model.reward[state, action]) + float(w(stage, state, action))
-        if value > best_value:
-            best_action = action
-            best_value = value
-    return best_action
+def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:
+    """The scheme's action at every (stage, state): argmax of r + W, min-index ties."""
+    w = approximator.evaluate
+    policy = []
+    for stage in range(1, model.horizon + 1):
+        actions = []
+        for state in range(model.num_states):
+            best_action = 0
+            best_value = -math.inf
+            for action in range(model.num_actions):
+                value = float(model.reward[state, action]) + float(w(stage, state, action))
+                if value > best_value:
+                    best_action = action
+                    best_value = value
+            actions.append(best_action)
+        policy.append(tuple(actions))
+    return tuple(policy)
 
 
 def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = DEFAULT_BUDGET) -> AdpRun:
     """Roll the forward scheme over every noise path and aggregate exactly.
 
     On each path the realized state advances through the model's transition
-    law under the chosen actions; the run records all paths and the exact
+    law under the scheme's actions; the run records all paths and the exact
     probability-weighted expected cumulative true reward.
     """
     K = model.horizon
-    w = approximator.evaluate
-    choices: dict[tuple[int, int], int] = {}
+    paths = enumerate_noise_paths(model, K - 1, budget=budget)
+    policy = scheme_policy(model, approximator)
     records = []
-    for path in enumerate_noise_paths(model, K - 1, budget=budget):
+    for path in paths:
         state = model.initial_state
         states = [state]
         actions = []
         total = 0.0
-        for stage in range(1, K + 1):
-            key = (stage, state)
-            action = choices.get(key)
-            if action is None:
-                action = _stage_choice(model, w, stage, state)
-                choices[key] = action
+        for stage, stage_policy in enumerate(policy, start=1):
+            action = stage_policy[state]
             actions.append(action)
             total += float(model.reward[state, action])
             if stage < K:
@@ -251,37 +248,3 @@ def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = D
     for record in records:
         expected += record.probability * record.reward
     return AdpRun(paths=tuple(records), expected_value=float(expected))
-
-
-def adp_simulate_mc(
-    model: MdpModel, approximator: EvtgApproximator, samples: int, seed: int
-) -> tuple[float, float]:
-    """Seeded Monte Carlo estimate of the forward scheme's expected reward.
-
-    Uses the same action rule as :func:`adp_forward` but samples noise paths
-    instead of enumerating them; intended for models whose noise tree exceeds
-    the enumeration budget.  Returns (mean, standard error).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    K = model.horizon
-    w = approximator.evaluate
-    stage_actions = np.zeros((K, model.num_states), dtype=np.int64)
-    for stage in range(1, K + 1):
-        for state in range(model.num_states):
-            stage_actions[stage - 1, state] = _stage_choice(model, w, stage, state)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = None
-    if K > 1:
-        draws = rng.choice(model.noise_size, size=(samples, K - 1), p=model.noise_probs)
-    states = np.full(samples, model.initial_state, dtype=np.int64)
-    totals = np.zeros(samples)
-    for stage in range(1, K + 1):
-        actions = stage_actions[stage - 1][states]
-        totals += model.reward[states, actions]
-        if stage < K:
-            assert draws is not None
-            states = model.transition[states, actions, draws[:, stage - 1]]
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr

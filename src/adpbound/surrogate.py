@@ -50,7 +50,6 @@ __all__ = [
     "MonotonicityCertificate",
     "AdpBoundReport",
     "policy_ground_set",
-    "surrogate_eval",
     "g_avg_eval",
     "pdao_construct",
     "gps_construct",
@@ -89,13 +88,6 @@ class SurrogateObjective:
         if k < self.model.horizon:
             total += float(self.approximator.evaluate(k, states[-1], actions[-1]))
         return total
-
-
-def surrogate_eval(
-    surrogate: SurrogateObjective, states: Sequence[int], actions: Sequence[int]
-) -> float:
-    """Functional form of :meth:`SurrogateObjective.evaluate_path`."""
-    return surrogate.evaluate_path(states, actions)
 
 
 def policy_ground_set(model: MdpModel) -> tuple[MarkovPolicy, ...]:

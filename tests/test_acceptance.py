@@ -24,7 +24,6 @@ from adpbound import (
     check_adp_pdao_identity,
     check_pdao_gps_equivalence,
     curvature_bound,
-    evaluate_policy_exact,
     exact_evtg_w,
     g_avg_eval,
     greedy_guarantee_report,
@@ -37,6 +36,7 @@ from adpbound import (
 )
 from adpbound.cli import main
 from conftest import chain_model, schemes_for
+from mdp_reference import path_policy_value
 
 TOL = 1e-12
 
@@ -101,7 +101,7 @@ def test_backward_induction_oracle(mdp_sweep):
             itertools.product(range(model.num_actions), repeat=model.num_states)
         )
         best = max(
-            evaluate_policy_exact(model, string)
+            path_policy_value(model, string)
             for string in itertools.product(stage_policies, repeat=model.horizon)
         )
         assert abs(float(tables.V[0, model.initial_state]) - best) <= TOL
@@ -130,7 +130,7 @@ def test_terminal_identity_and_optimum(mdp_sweep):
         _, tables = bellman_solve(model)
         bellman_value = float(tables.V[0, model.initial_state])
         exact_values = {
-            string: evaluate_policy_exact(model, string)
+            string: path_policy_value(model, string)
             for string in itertools.product(stage_policies, repeat=model.horizon)
         }
         for name, scheme in schemes_for(model, index).items():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adpbound import save_model
+from adpbound import GeneratedInstanceSpec, generate_mdp_instances, save_model
 from adpbound.cli import main
 from conftest import chain_model, zero_reward_model
 
@@ -77,6 +77,21 @@ class TestRunAdp:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert read_json(out1)["mc_mean"] == 2.0
+
+    def test_mc_rollout_fits_a_budget_below_the_noise_tree(self, tmp_path):
+        # 3^4 = 81 noise paths exceed the budget of 10, which only --mc avoids;
+        # the rollout continuation comes from backward evaluation, not paths.
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=1, seed=3, num_states=2,
+                                     num_actions=2, noise_size=3, horizon=5)
+        model = tmp_path / "deep.json"
+        save_model(generate_mdp_instances(spec)[0], model)
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps([[0, 0]] * 5))
+        args = ["run-adp", "--model", str(model), "--scheme", "rollout",
+                "--base-policy", str(base), "--budget", "10"]
+        assert main(args + ["--mc", "1000", "--out", str(tmp_path / "mc.json")]) == 0
+        assert read_json(tmp_path / "mc.json")["mc_samples"] == 1000
+        assert main(args + ["--exact", "--out", str(tmp_path / "exact.json")]) == 3
 
 
 class TestBoundAdp:

@@ -1,8 +1,9 @@
 """Model validation, exact evaluation, backward induction, and file round trips.
 
-The backward-induction oracle is checked against an inline exhaustive
-enumeration of policy strings, written here independently of the library's
-own ground-set helpers.
+Backward induction, policy values and rollout continuations all come from
+one backward recursion; each is checked against the path-enumeration oracle
+in ``mdp_reference``, over an inline exhaustive enumeration of policy strings
+written independently of the library's own ground-set helpers.
 """
 
 from __future__ import annotations
@@ -12,35 +13,43 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpbound import (
     BudgetExceededError,
     GeneratedInstanceSpec,
     MdpModel,
     ModelFormatError,
+    RolloutConfig,
+    backward_values,
     bellman_solve,
     enumerate_noise_paths,
     evaluate_policy_exact,
-    exact_evtg,
+    exact_evtg_w,
     generate_mdp_instances,
     load_model,
     model_from_dict,
     model_to_dict,
+    rollout_w,
     save_model,
+    scheme_policy,
     simulate_policy_mc,
 )
+from adpbound.common import values_agree
 from conftest import chain_model, noisy_chain_model, zero_reward_model
+from mdp_reference import path_exact_evtg, path_policy_value
 
 STAY_EVERYWHERE = ((0, 0), (0, 0))
 GO_EVERYWHERE = ((1, 1), (1, 1))
 
 
 def brute_force_optimum(model) -> float:
-    """Independent oracle: enumerate every policy string of full length."""
+    """Independent oracle: enumerate every policy string of full length, path by path."""
     stage_policies = list(itertools.product(range(model.num_actions), repeat=model.num_states))
     best = -float("inf")
     for string in itertools.product(stage_policies, repeat=model.horizon):
-        best = max(best, evaluate_policy_exact(model, string))
+        best = max(best, path_policy_value(model, string))
     return best
 
 
@@ -159,19 +168,86 @@ class TestBellman:
             assert abs(tables.V[0, model.initial_state] - brute_force_optimum(model)) <= 1e-12
 
 
+class TestBackwardValues:
+    def test_shapes_and_terminal_row(self, m_noise):
+        V, C = backward_values(m_noise)
+        assert V.shape == (3, 2) and C.shape == (2, 2, 2)
+        assert np.all(V[-1] == 0.0) and np.all(C[-1] == 0.0)
+        V, C = backward_values(m_noise, ((1, 1),))
+        assert V.shape == (2, 2) and C.shape == (1, 2, 2)
+
+    def test_bellman_q_is_reward_plus_continuation(self, m_noise):
+        _, tables = bellman_solve(m_noise)
+        V, C = backward_values(m_noise)
+        assert np.array_equal(tables.Q, m_noise.reward + C)
+        assert np.array_equal(tables.V, V[:-1])
+
+    def test_rejects_invalid_policy(self, m_chain):
+        with pytest.raises(ValueError):
+            backward_values(m_chain, ((0, 2),))
+        with pytest.raises(ValueError):
+            backward_values(m_chain, ((0, 0),) * 3)
+
+
 class TestExactEvtg:
     def test_go_then_anything(self, m_chain):
-        assert exact_evtg(m_chain, (STAY_EVERYWHERE[0],), 1, 0, 1) == 5.0
+        assert path_exact_evtg(m_chain, (STAY_EVERYWHERE[0],), 1, 0, 1) == 5.0
 
     def test_stay_then_stay(self, m_chain):
-        assert exact_evtg(m_chain, ((0, 0),), 1, 0, 0) == 1.0
+        assert path_exact_evtg(m_chain, ((0, 0),), 1, 0, 0) == 1.0
 
     def test_terminal_stage_is_zero(self, m_chain):
-        assert exact_evtg(m_chain, (), 2, 0, 1) == 0.0
+        assert path_exact_evtg(m_chain, (), 2, 0, 1) == 0.0
 
     def test_rejects_wrong_tail_length(self, m_chain):
         with pytest.raises(ValueError):
-            exact_evtg(m_chain, ((0, 0), (0, 0)), 2, 0, 0)
+            path_exact_evtg(m_chain, ((0, 0), (0, 0)), 2, 0, 0)
+
+    def test_rollout_matches_reference_on_noisy_chain(self, m_noise):
+        base = ((1, 0), (0, 1))
+        w = rollout_w(m_noise, RolloutConfig(base_policy=base))
+        for stage, x, a in itertools.product((1, 2), range(2), range(2)):
+            assert w.evaluate(stage, x, a) == path_exact_evtg(m_noise, base[stage:], stage, x, a)
+
+
+@st.composite
+def small_models(draw):
+    S = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=N, max_size=N)), dtype=float)
+    transition = draw(st.lists(st.integers(0, S - 1), min_size=S * A * N, max_size=S * A * N))
+    reward = draw(st.lists(st.floats(0.0, 10.0), min_size=S * A, max_size=S * A))
+    model = MdpModel(
+        num_states=S,
+        num_actions=A,
+        horizon=K,
+        initial_state=draw(st.integers(0, S - 1)),
+        noise_probs=weights / weights.sum(),
+        transition=np.reshape(transition, (S, A, N)),
+        reward=np.reshape(reward, (S, A)),
+    )
+    policy = tuple(
+        tuple(draw(st.lists(st.integers(0, A - 1), min_size=S, max_size=S))) for _ in range(K)
+    )
+    return model, policy
+
+
+@given(case=small_models())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_backward_values_match_path_oracle(case):
+    model, policy = case
+    for length in range(model.horizon + 1):
+        prefix = policy[:length]
+        assert values_agree(evaluate_policy_exact(model, prefix), path_policy_value(model, prefix))
+    w = rollout_w(model, RolloutConfig(base_policy=policy))
+    for stage, x, a in itertools.product(
+        range(1, model.horizon + 1), range(model.num_states), range(model.num_actions)
+    ):
+        oracle = path_exact_evtg(model, policy[stage:], stage, x, a)
+        assert values_agree(w.evaluate(stage, x, a), oracle)
+    assert scheme_policy(model, exact_evtg_w(model)) == bellman_solve(model)[0]
 
 
 class TestMonteCarlo:

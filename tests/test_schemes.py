@@ -12,13 +12,14 @@ from adpbound import (
     LinearQConfig,
     RolloutConfig,
     adp_forward,
-    adp_simulate_mc,
     bellman_solve,
     exact_evtg_w,
     linear_q_w,
     make_scheme,
     myopic_w,
     rollout_w,
+    scheme_policy,
+    simulate_policy_mc,
 )
 from conftest import chain_model, schemes_for
 
@@ -152,22 +153,35 @@ class TestForwardScheme:
             make_scheme(m_chain, "nonsense")
 
 
+class TestSchemePolicy:
+    def test_forward_run_follows_the_table(self, m_noise):
+        for name, scheme in schemes_for(m_noise, 0).items():
+            policy = scheme_policy(m_noise, scheme)
+            for record in adp_forward(m_noise, scheme).paths:
+                for k, (x, a) in enumerate(zip(record.states, record.actions)):
+                    assert policy[k][x] == a, name
+
+
+def simulate_scheme(model, scheme, samples, seed):
+    return simulate_policy_mc(model, scheme_policy(model, scheme), samples, seed)
+
+
 class TestForwardMonteCarlo:
     def test_deterministic_model_matches_exact(self, m_chain):
         for name, scheme in schemes_for(m_chain, 0).items():
             exact = adp_forward(m_chain, scheme).expected_value
-            mean, stderr = adp_simulate_mc(m_chain, scheme, samples=32, seed=11)
+            mean, stderr = simulate_scheme(m_chain, scheme, samples=32, seed=11)
             assert mean == exact, name
             assert stderr == 0.0
 
     def test_noisy_model_within_three_stderr(self, m_noise):
         scheme = rollout_w(m_noise, RolloutConfig(base_policy=STAY_BASE))
         exact = adp_forward(m_noise, scheme).expected_value
-        mean, stderr = adp_simulate_mc(m_noise, scheme, samples=50_000, seed=5)
+        mean, stderr = simulate_scheme(m_noise, scheme, samples=50_000, seed=5)
         assert abs(mean - exact) <= 3.0 * stderr
 
     def test_seeded_reproducibility(self, m_noise):
         scheme = myopic_w()
-        assert adp_simulate_mc(m_noise, scheme, 500, seed=9) == adp_simulate_mc(
+        assert simulate_scheme(m_noise, scheme, 500, seed=9) == simulate_scheme(
             m_noise, scheme, 500, seed=9
         )

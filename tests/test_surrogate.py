@@ -41,7 +41,6 @@ from adpbound import (
     policy_string_objective,
     random_base_policy,
     rollout_w,
-    surrogate_eval,
 )
 from adpbound.common import values_agree
 from conftest import schemes_for, zero_reward_model
@@ -57,11 +56,11 @@ def stay_rollout(model):
 class TestSurrogateEval:
     def test_myopic_single_stage(self, m_chain):
         s = SurrogateObjective(model=m_chain, approximator=myopic_w())
-        assert surrogate_eval(s, (0,), (0,)) == 1.0
+        assert s.evaluate_path((0,), (0,)) == 1.0
 
     def test_rollout_single_stage(self, m_chain):
         s = SurrogateObjective(model=m_chain, approximator=stay_rollout(m_chain))
-        assert surrogate_eval(s, (0,), (1,)) == 5.0
+        assert s.evaluate_path((0,), (1,)) == 5.0
 
     def test_full_length_drops_continuation(self, m_chain):
         class Exploding:
@@ -72,12 +71,12 @@ class TestSurrogateEval:
                 raise AssertionError("continuation must not be consulted at full length")
 
         s = SurrogateObjective(model=m_chain, approximator=Exploding())
-        assert surrogate_eval(s, (0, 1), (1, 0)) == 5.0
+        assert s.evaluate_path((0, 1), (1, 0)) == 5.0
 
     def test_length_mismatch(self, m_chain):
         s = SurrogateObjective(model=m_chain, approximator=myopic_w())
         with pytest.raises(ValueError):
-            surrogate_eval(s, (0, 1), (1,))
+            s.evaluate_path((0, 1), (1,))
 
 
 class TestPolicyGroundSet:
