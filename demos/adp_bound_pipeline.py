@@ -11,12 +11,10 @@ import numpy as np
 
 from adpbound import (
     MdpModel,
-    RolloutConfig,
     adp_bound_report,
     bellman_solve,
     exact_evtg_w,
     linear_q_w,
-    LinearQConfig,
     myopic_w,
     rollout_w,
 )
@@ -41,11 +39,9 @@ def main() -> None:
     print(f"Chain model optimum: {tables.V[0, model.initial_state]:.1f}\n")
 
     schemes = {
-        "myopic": myopic_w(),
-        "rollout(stay base)": rollout_w(model, RolloutConfig(base_policy=((0, 0), (0, 0)))),
-        "linearq(theta=2,5)": linear_q_w(
-            model, LinearQConfig(theta=np.array([[2.0], [5.0]]), phi=model.features)
-        ),
+        "myopic": myopic_w(model),
+        "rollout(stay base)": rollout_w(model, ((0, 0), (0, 0))),
+        "linearq(theta=2,5)": linear_q_w(model, np.array([[2.0], [5.0]])),
         "exact value-to-go": exact_evtg_w(model),
     }
 

@@ -9,7 +9,6 @@ estimator agreeing with the exact numbers.
 
 from adpbound import (
     MdpModel,
-    RolloutConfig,
     bellman_solve,
     evaluate_policy_exact,
     rollout_w,
@@ -56,7 +55,7 @@ def main() -> None:
     go = ((GO, GO), (GO, GO))
     print(f"  value of always staying: {evaluate_policy_exact(model, stay):.1f}")
     print(f"  value of always leaving: {evaluate_policy_exact(model, go):.1f}")
-    staying_tail = rollout_w(model, RolloutConfig(base_policy=stay))
+    staying_tail = rollout_w(model, stay)
     print(f"  value-to-go of (state 0, go) under a staying tail: "
           f"{staying_tail.evaluate(1, 0, GO):.1f}")
 

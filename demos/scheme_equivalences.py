@@ -10,7 +10,6 @@ policy ground set.  Both are checked exhaustively on a noisy model.
 
 from adpbound import (
     MdpModel,
-    RolloutConfig,
     SurrogateObjective,
     check_adp_pdao_identity,
     check_pdao_gps_equivalence,
@@ -37,8 +36,8 @@ def noisy_chain() -> MdpModel:
 def main() -> None:
     model = noisy_chain()
     schemes = {
-        "myopic": myopic_w(),
-        "rollout(stay base)": rollout_w(model, RolloutConfig(base_policy=((0, 0), (0, 0)))),
+        "myopic": myopic_w(model),
+        "rollout(stay base)": rollout_w(model, ((0, 0), (0, 0))),
     }
 
     for name, scheme in schemes.items():

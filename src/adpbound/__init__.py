@@ -36,8 +36,6 @@ from .mdp import (
 )
 from .schemes import (
     EvtgApproximator,
-    LinearQConfig,
-    RolloutConfig,
     adp_forward,
     exact_evtg_w,
     linear_q_w,

@@ -70,6 +70,14 @@ DEGENERATE_FLAGS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """Argparse type for sizes and counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="maximum leaf evaluations per exhaustive enumeration")
@@ -91,17 +99,17 @@ def _add_model_scheme(parser: argparse.ArgumentParser, scheme_required: bool) ->
                         help="JSON [stage][state] action table for the rollout base")
     parser.add_argument("--theta", type=str, default=None,
                         help="JSON [action][dim] weight table for linearq")
-    parser.add_argument("--K", dest="horizon", type=int, default=None,
+    parser.add_argument("--K", dest="horizon", type=positive_int, default=None,
                         help="override the model horizon")
 
 
 def _add_mdp_generate(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generate", choices=("random_mdp",), default=None,
                         help="generate models instead of reading --model")
-    parser.add_argument("--count", type=int, default=1)
-    parser.add_argument("--states", type=int, default=2)
-    parser.add_argument("--actions", type=int, default=2)
-    parser.add_argument("--noise", type=int, default=2)
+    parser.add_argument("--count", type=positive_int, default=1)
+    parser.add_argument("--states", type=positive_int, default=2)
+    parser.add_argument("--actions", type=positive_int, default=2)
+    parser.add_argument("--noise", type=positive_int, default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve-dp", help="backward induction on a model file")
     solve.add_argument("--model", type=str, required=True)
-    solve.add_argument("--K", dest="horizon", type=int, default=None)
+    solve.add_argument("--K", dest="horizon", type=positive_int, default=None)
     _add_common(solve)
     solve.set_defaults(func=cmd_solve_dp)
 
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_scheme(run, scheme_required=True)
     mode = run.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact expectation (default)")
-    mode.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
+    mode.add_argument("--mc", type=positive_int, default=None, metavar="SAMPLES",
                       help="seeded Monte Carlo estimate instead of enumeration")
     _add_common(run)
     run.set_defaults(func=cmd_run_adp)
@@ -135,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-theorem1",
                             help="guarantee sweep over generated string objectives")
     verify.add_argument("--generate", choices=STRING_KINDS, required=True)
-    verify.add_argument("--count", type=int, default=1)
-    verify.add_argument("--K", dest="horizon", type=int, default=4)
-    verify.add_argument("--ground-size", dest="ground_size", type=int, default=3)
+    verify.add_argument("--count", type=positive_int, default=1)
+    verify.add_argument("--K", dest="horizon", type=positive_int, default=4)
+    verify.add_argument("--ground-size", dest="ground_size", type=positive_int, default=3)
     _add_common(verify)
     verify.set_defaults(func=cmd_verify_theorem1)
 

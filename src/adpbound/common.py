@@ -41,11 +41,11 @@ def ensure_budget(required: int, budget: int, what: str) -> None:
         raise BudgetExceededError(required, budget, what)
 
 
-def values_agree(a: float, b: float, tol: float = VALUE_TOL) -> bool:
-    """Whether two computed values agree to ``tol`` relative to their size.
+def values_agree(a: float, b: float) -> bool:
+    """Whether two computed values agree to ``VALUE_TOL`` relative to their size.
 
     The tolerance is absolute for values up to 1 in magnitude and relative
     above, so values that grow with the reward scale agree to a fixed number
     of significant digits rather than to a fixed number of decimal places.
     """
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= VALUE_TOL * max(1.0, abs(a), abs(b))

@@ -59,7 +59,8 @@ class MdpModel:
     ``transition[x, a, n]`` is the successor state when noise symbol ``n``
     (by position in the support) is drawn, and ``reward[x, a]`` the immediate
     nonnegative reward.  Time-varying dynamics are expressed by augmenting
-    the state.  Instances are immutable and safe to share across threads.
+    the state.  Noise probabilities, rewards and features must be finite.
+    Instances are immutable and safe to share across threads.
     """
 
     num_states: int
@@ -85,8 +86,8 @@ class MdpModel:
         probs = np.asarray(self.noise_probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("noise probabilities must be a nonempty vector")
-        if np.any(probs <= 0.0):
-            raise ValueError("noise probabilities must all be positive")
+        if not np.all(np.isfinite(probs) & (probs > 0.0)):
+            raise ValueError("noise probabilities must all be finite and positive")
         if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError("noise probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "noise_probs", _readonly(probs))
@@ -103,8 +104,8 @@ class MdpModel:
         reward = np.asarray(self.reward, dtype=float)
         if reward.shape != (self.num_states, self.num_actions):
             raise ValueError(f"reward table must have shape {(self.num_states, self.num_actions)}")
-        if np.any(reward < 0.0):
-            raise ValueError("rewards must be nonnegative")
+        if not np.all(np.isfinite(reward) & (reward >= 0.0)):
+            raise ValueError("rewards must be finite and nonnegative")
         object.__setattr__(self, "reward", _readonly(reward))
 
         support = self.noise_support
@@ -120,6 +121,8 @@ class MdpModel:
             features = np.asarray(self.features, dtype=float)
             if features.ndim != 2 or features.shape[0] != self.num_states:
                 raise ValueError("features must be a [state][dim] table")
+            if not np.all(np.isfinite(features)):
+                raise ValueError("features must be finite")
             object.__setattr__(self, "features", _readonly(features))
 
     @property

@@ -1,8 +1,8 @@
 """Value-to-go approximators and the forward ADP rollout they drive.
 
-An approximator supplies the continuation estimate W used in place of the
-exact expected value-to-go: at stage k it scores (state, action) pairs, and
-by convention scores 0 at the final stage.  The forward scheme starts at the
+An approximator is its continuation estimate W, held as a read-only
+(stage, state, action) table that replaces the exact expected value-to-go;
+by convention W is 0 at the final stage.  The forward scheme starts at the
 initial state and at every realized state picks the action maximizing
 immediate reward plus W, with min-index tie-breaking.
 
@@ -13,24 +13,16 @@ exact value-to-go of the optimal tail for oracle comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .common import DEFAULT_BUDGET
-from .mdp import (
-    MdpModel,
-    PolicyString,
-    backward_values,
-    enumerate_noise_paths,
-)
+from .common import DEFAULT_BUDGET, ensure_budget
+from .mdp import MdpModel, PolicyString, backward_values
 
 __all__ = [
     "EvtgApproximator",
-    "RolloutConfig",
-    "LinearQConfig",
     "PathRecord",
     "AdpRun",
     "myopic_w",
@@ -39,52 +31,32 @@ __all__ = [
     "exact_evtg_w",
     "make_scheme",
     "scheme_policy",
+    "walk_noise_tree",
     "adp_forward",
 ]
 
 
 @dataclass(frozen=True)
 class EvtgApproximator:
-    """Continuation estimate ``evaluate(stage, state, action)`` for stages 1..K.
+    """Continuation estimate W as a read-only table ``table[k-1, x, a]`` for stages 1..K.
 
-    By the terminal convention ``evaluate(K, x, a)`` is 0 for every pair.
-    Implementations must be deterministic; they may cache internally.
+    By the terminal convention ``table[K-1]`` is 0 for every pair: the
+    forward rule scores r + W at every stage, while the surrogate drops W at
+    full length, so a nonzero final stage would part the two.
     """
 
-    kind: str
-    evaluate: Callable[[int, int, int], float]
-
-
-@dataclass(frozen=True)
-class RolloutConfig:
-    """Fixed base policy whose exact value-to-go serves as the approximator."""
-
-    base_policy: PolicyString
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "base_policy", tuple(tuple(int(a) for a in stage) for stage in self.base_policy)
-        )
+        table = np.array(self.table, dtype=float)
+        if table.ndim != 3 or np.any(table[-1] != 0.0):
+            raise ValueError("W must be a [stage][state][action] table that is 0 at the final stage")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
-
-@dataclass(frozen=True)
-class LinearQConfig:
-    """Per-action weight vectors and per-state features of equal dimension."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if theta.ndim != 2 or phi.ndim != 2:
-            raise ValueError("theta and phi must be 2-dimensional tables")
-        if theta.shape[1] != phi.shape[1]:
-            raise ValueError(
-                f"weight dimension {theta.shape[1]} does not match feature dimension {phi.shape[1]}"
-            )
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+    def evaluate(self, stage: int, state: int, action: int) -> float:
+        """W at (state, action) for stage ``stage`` in 1..K."""
+        return float(self.table[stage - 1, state, action])
 
 
 @dataclass(frozen=True)
@@ -106,54 +78,48 @@ class AdpRun:
     expected_value: float
 
 
-def myopic_w() -> EvtgApproximator:
+def myopic_w(model: MdpModel) -> EvtgApproximator:
     """Ignore the continuation entirely: W is identically zero."""
-    return EvtgApproximator(kind="myopic", evaluate=lambda stage, state, action: 0.0)
+    return EvtgApproximator(np.zeros((model.horizon, model.num_states, model.num_actions)))
 
 
-def _continuation_w(kind: str, continuation: np.ndarray) -> EvtgApproximator:
-    """Read W from a (stage, state, action) continuation table of :func:`backward_values`."""
-
-    def evaluate(stage: int, state: int, action: int) -> float:
-        return float(continuation[stage - 1, state, action])
-
-    return EvtgApproximator(kind=kind, evaluate=evaluate)
-
-
-def rollout_w(model: MdpModel, config: RolloutConfig) -> EvtgApproximator:
+def rollout_w(model: MdpModel, base_policy: PolicyString) -> EvtgApproximator:
     """Score (state, action) by the exact value-to-go of the base policy.
 
     ``evaluate(k, x, a)`` is the exact expected reward of taking ``a`` at ``x``
     and following the base policy for stages k+1..K, read from one backward
     evaluation of the base policy.
     """
-    base = config.base_policy
-    if len(base) != model.horizon:
+    if len(base_policy) != model.horizon:
         raise ValueError("base policy must cover every stage")
-    _, continuation = backward_values(model, base)
-    return _continuation_w("rollout", continuation)
+    _, continuation = backward_values(model, base_policy)
+    return EvtgApproximator(continuation)
 
 
-def linear_q_w(model: MdpModel, config: LinearQConfig) -> EvtgApproximator:
+def linear_q_w(model: MdpModel, theta: np.ndarray) -> EvtgApproximator:
     """Embed a fixed linear-feature Q table as a continuation estimate.
 
-    The parametric score of (x, a) is theta(a) . phi(x); subtracting the
-    immediate reward makes the forward rule r + W reproduce exactly the
-    argmax of the parametric score.
+    ``theta[a]`` is the weight vector of action ``a`` over the model's
+    per-state features, so the parametric score of (x, a) is
+    theta(a) . phi(x); subtracting the immediate reward makes the forward rule
+    r + W reproduce exactly the argmax of the parametric score at stages
+    1..K-1.
     """
-    theta, phi = config.theta, config.phi
-    if theta.shape[0] != model.num_actions:
+    phi = model.features
+    if phi is None:
+        raise ValueError("linearq scheme requires a model with features")
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[0] != model.num_actions:
         raise ValueError("theta must provide one weight vector per action")
-    if phi.shape[0] != model.num_states:
-        raise ValueError("phi must provide one feature vector per state")
-    table = phi @ theta.T - model.reward
-
-    def evaluate(stage: int, state: int, action: int) -> float:
-        if stage == model.horizon:
-            return 0.0
-        return float(table[state, action])
-
-    return EvtgApproximator(kind="linear_q", evaluate=evaluate)
+    if theta.shape[1] != phi.shape[1]:
+        raise ValueError(
+            f"weight dimension {theta.shape[1]} does not match feature dimension {phi.shape[1]}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta weights must be finite")
+    table = np.zeros((model.horizon, model.num_states, model.num_actions))
+    table[:-1] = phi @ theta.T - model.reward
+    return EvtgApproximator(table)
 
 
 def exact_evtg_w(model: MdpModel) -> EvtgApproximator:
@@ -162,7 +128,7 @@ def exact_evtg_w(model: MdpModel) -> EvtgApproximator:
     Reads the continuation of backward induction, so r + W is Bellman's Q.
     """
     _, continuation = backward_values(model)
-    return _continuation_w("exact_evtg", continuation)
+    return EvtgApproximator(continuation)
 
 
 def make_scheme(
@@ -177,17 +143,15 @@ def make_scheme(
     model with features.
     """
     if name == "myopic":
-        return myopic_w()
+        return myopic_w(model)
     if name == "rollout":
         if base_policy is None:
             raise ValueError("rollout scheme requires a base policy")
-        return rollout_w(model, RolloutConfig(base_policy=base_policy))
+        return rollout_w(model, base_policy)
     if name == "linearq":
         if theta is None:
             raise ValueError("linearq scheme requires theta weights")
-        if model.features is None:
-            raise ValueError("linearq scheme requires a model with features")
-        return linear_q_w(model, LinearQConfig(theta=np.asarray(theta, dtype=float), phi=model.features))
+        return linear_q_w(model, theta)
     if name == "exact_evtg":
         return exact_evtg_w(model)
     raise ValueError(f"unknown scheme '{name}'")
@@ -195,21 +159,49 @@ def make_scheme(
 
 def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:
     """The scheme's action at every (stage, state): argmax of r + W, min-index ties."""
-    w = approximator.evaluate
-    policy = []
-    for stage in range(1, model.horizon + 1):
-        actions = []
-        for state in range(model.num_states):
-            best_action = 0
-            best_value = -math.inf
-            for action in range(model.num_actions):
-                value = float(model.reward[state, action]) + float(w(stage, state, action))
-                if value > best_value:
-                    best_action = action
-                    best_value = value
-            actions.append(best_action)
-        policy.append(tuple(actions))
-    return tuple(policy)
+    choice = (model.reward + approximator.table).argmax(axis=2)
+    return tuple(tuple(int(a) for a in stage) for stage in choice)
+
+
+def walk_noise_tree(
+    model: MdpModel,
+    choose: Callable[[list[int], list[int]], int],
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[PathRecord, ...]:
+    """Follow a decision rule down every branch of the noise tree.
+
+    ``choose(states, actions)`` gets the realized states up to the current
+    stage and the actions taken before it, and returns the current action; it
+    is called once per node of the tree.  Returns one record per full noise
+    path, in lexicographic noise order.
+    """
+    K = model.horizon
+    ensure_budget(model.noise_size ** (K - 1), budget, "noise-path enumeration")
+    probs = [float(p) for p in model.noise_probs]
+    records: list[PathRecord] = []
+
+    def walk(noise: tuple[int, ...], states: list[int], actions: list[int], probability: float) -> None:
+        actions = actions + [choose(states, actions)]
+        if len(actions) == K:
+            total = 0.0
+            for x, a in zip(states, actions):
+                total += float(model.reward[x, a])
+            records.append(
+                PathRecord(
+                    noise=noise,
+                    probability=probability,
+                    states=tuple(states),
+                    actions=tuple(actions),
+                    reward=total,
+                )
+            )
+            return
+        for symbol, p in enumerate(probs):
+            successor = int(model.transition[states[-1], actions[-1], symbol])
+            walk(noise + (symbol,), states + [successor], actions, probability * p)
+
+    walk((), [model.initial_state], [], 1.0)
+    return tuple(records)
 
 
 def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = DEFAULT_BUDGET) -> AdpRun:
@@ -219,32 +211,6 @@ def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = D
     law under the scheme's actions; the run records all paths and the exact
     probability-weighted expected cumulative true reward.
     """
-    K = model.horizon
-    paths = enumerate_noise_paths(model, K - 1, budget=budget)
     policy = scheme_policy(model, approximator)
-    records = []
-    for path in paths:
-        state = model.initial_state
-        states = [state]
-        actions = []
-        total = 0.0
-        for stage, stage_policy in enumerate(policy, start=1):
-            action = stage_policy[state]
-            actions.append(action)
-            total += float(model.reward[state, action])
-            if stage < K:
-                state = int(model.transition[state, action, path.symbols[stage - 1]])
-                states.append(state)
-        records.append(
-            PathRecord(
-                noise=path.symbols,
-                probability=path.probability,
-                states=tuple(states),
-                actions=tuple(actions),
-                reward=total,
-            )
-        )
-    expected = 0.0
-    for record in records:
-        expected += record.probability * record.reward
-    return AdpRun(paths=tuple(records), expected_value=float(expected))
+    records = walk_noise_tree(model, lambda states, actions: policy[len(actions)][states[-1]], budget)
+    return AdpRun(paths=records, expected_value=float(sum(r.probability * r.reward for r in records)))

@@ -263,13 +263,13 @@ def optimal_string_bruteforce(
 
 
 def _prefix_monotone(
-    tables: list[np.ndarray], tol: float
+    tables: list[np.ndarray],
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
     for length in range(1, len(tables)):
         # violated[cut][s]: string s is worth less than its prefix of length cut.
         violated = np.stack(
             [
-                tables[length] < _expand(tables[cut] - tol, cut, length - cut)
+                tables[length] < _expand(tables[cut] - VALUE_TOL, cut, length - cut)
                 for cut in range(length)
             ]
         )
@@ -284,7 +284,6 @@ def check_prefix_monotone(
     f: StringObjective,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
-    tol: float = VALUE_TOL,
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
     """Exhaustively test whether extending any string can lower the objective.
 
@@ -294,16 +293,16 @@ def check_prefix_monotone(
     then prefix length.
     """
     _ensure_budgets(f.ground_size, horizon, budget, "prefix-monotonicity check")
-    return _prefix_monotone(_tables(f, horizon), tol)
+    return _prefix_monotone(_tables(f, horizon))
 
 
 def _diminishing_return(
-    tables: list[np.ndarray], tol: float
+    tables: list[np.ndarray],
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString, int]]]:
     # gains[n][s + (a,)] = f(s + (a,)) - f(s) for every string s of length n.
     gains = [tables[n + 1] - _expand(tables[n], n, 1) for n in range(len(tables) - 1)]
     for length in range(1, len(gains)):
-        limit = gains[length] - tol
+        limit = gains[length] - VALUE_TOL
         # Axes of violated: prefix length cut, the longer string, the action.
         violated = np.stack(
             [_expand(gains[cut], cut, length - cut) < limit for cut in range(length)]
@@ -320,7 +319,6 @@ def check_diminishing_return(
     f: StringObjective,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
-    tol: float = VALUE_TOL,
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString, int]]]:
     """Exhaustively test whether marginal gains can grow along prefix extensions.
 
@@ -329,7 +327,7 @@ def check_diminishing_return(
     on failure, the first by length of N, then N, then length of M, then a.
     """
     _ensure_budgets(f.ground_size, horizon, budget, "diminishing-return check")
-    return _diminishing_return(_tables(f, horizon), tol)
+    return _diminishing_return(_tables(f, horizon))
 
 
 def _eta(full: np.ndarray, trace: GreedyTrace, horizon: int) -> tuple[float, int]:
@@ -371,9 +369,7 @@ def total_curvature_eta(
     return _eta(_level(f, horizon), greedy, horizon)
 
 
-def _sigma(
-    tables: list[np.ndarray], trace: GreedyTrace, horizon: int, tol: float
-) -> tuple[float, int]:
+def _sigma(tables: list[np.ndarray], trace: GreedyTrace, horizon: int) -> tuple[float, int]:
     best = -math.inf
     skipped = 0
     for i in range(horizon):
@@ -383,7 +379,7 @@ def _sigma(
         for j in range(i + 1, horizon + 1):
             # denom[b] = f(G_{1:i} + b) - f(G_{1:i} + b[:-1]) for every block b of length j - i.
             denom = tables[j][head] - _expand(tables[j - 1][head], j - i - 1, 1)
-            kept = ~(denom <= tol)
+            kept = ~(denom <= DENOM_TOL)
             skipped += denom.size - int(kept.sum())
             terms = 1.0 - np.broadcast_to(gain, denom.shape)[kept] / denom[kept]
             if terms.size:
@@ -398,18 +394,17 @@ def forward_curvature_sigma(
     greedy: GreedyTrace,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
-    tol: float = DENOM_TOL,
 ) -> tuple[float, int]:
     """Worst-case forward curvature of ``f`` along the greedy trajectory.
 
     For every greedy prefix G_{1:i}, block of appended actions, and block
     length, compares the one-step gain of the block's last action against the
-    block's final marginal gain.  Terms whose denominator is at most ``tol``
-    are skipped and counted.
+    block's final marginal gain.  Terms whose denominator is at most
+    ``DENOM_TOL`` are skipped and counted.
     """
     _ensure_budgets(f.ground_size, horizon, budget, "forward-curvature enumeration")
     # The subtree under the empty greedy prefix is every string up to the horizon.
-    return _sigma(_tables(f, horizon), greedy, horizon, tol)
+    return _sigma(_tables(f, horizon), greedy, horizon)
 
 
 def curvature_bound(eta: float, sigma: float, horizon: int) -> float:
@@ -467,8 +462,8 @@ def greedy_guarantee_report(
     _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
 
-    monotone, _ = _prefix_monotone(tables, VALUE_TOL)
-    diminishing, _ = _diminishing_return(tables, VALUE_TOL)
+    monotone, _ = _prefix_monotone(tables)
+    diminishing, _ = _diminishing_return(tables)
 
     flags: list[str] = []
     skipped = 0
@@ -479,7 +474,7 @@ def greedy_guarantee_report(
         eta = math.nan
         flags.append("eta_undefined")
     try:
-        sigma, sigma_skipped = _sigma(tables, trace, horizon, DENOM_TOL)
+        sigma, sigma_skipped = _sigma(tables, trace, horizon)
         skipped += sigma_skipped
     except UndefinedCurvatureError:
         sigma = math.nan
@@ -534,14 +529,13 @@ def greedy_recursion_checks(
     f: StringObjective,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
-    tol: float = VALUE_TOL,
 ) -> tuple[InequalityCheck, ...]:
     """Verify the inequalities that chain greedy prefix values to the optimum.
 
     Three families are checked numerically for a prefix-monotone objective:
     the first greedy value against its share of the optimum, the stage
     recursion linking consecutive greedy prefixes, and the fully chained
-    consequence of that recursion.  All must hold with slack >= -tol whenever
+    consequence of that recursion.  All must hold with slack >= -VALUE_TOL whenever
     the guarantee itself holds, so a violation points at an implementation
     bug rather than at the instance.
     """
@@ -558,7 +552,7 @@ def greedy_recursion_checks(
     trace = _greedy(_lookup(tables), m, horizon)
     _, optimal_value = _bruteforce(tables[horizon])
     eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
-    sigma, _ = _sigma(tables, trace, horizon, DENOM_TOL)
+    sigma, _ = _sigma(tables, trace, horizon)
 
     share = (1.0 - sigma) / horizon
     decay = 1.0 - eta * share
@@ -573,7 +567,7 @@ def greedy_recursion_checks(
             lhs=lhs,
             rhs=rhs,
             slack=lhs - rhs,
-            satisfied=lhs - rhs >= -tol,
+            satisfied=lhs - rhs >= -VALUE_TOL,
         )
     )
 
@@ -587,7 +581,7 @@ def greedy_recursion_checks(
                 lhs=lhs,
                 rhs=rhs,
                 slack=lhs - rhs,
-                satisfied=lhs - rhs >= -tol,
+                satisfied=lhs - rhs >= -VALUE_TOL,
             )
         )
 
@@ -603,7 +597,7 @@ def greedy_recursion_checks(
             lhs=lhs,
             rhs=chained,
             slack=lhs - chained,
-            satisfied=lhs - chained >= -tol,
+            satisfied=lhs - chained >= -VALUE_TOL,
         )
     )
     return tuple(checks)

@@ -9,6 +9,11 @@ forward ADP scheme, and whose full-length values and optimum coincide with
 the original control problem.  Running the string-optimization guarantee on
 that objective therefore bounds the ADP scheme against the true optimum,
 certified whenever the averaged surrogate is prefix-monotone.
+
+The scheme enters only through its W table.  The averaged surrogate averages
+realized paths (``_g_avg``); the monotonicity certificate propagates state
+distributions forward over the same table, an independent route to the same
+expectations.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .mdp import (
     bellman_solve,
     enumerate_noise_paths,
 )
-from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
+from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward, walk_noise_tree
 from .stringopt import (
     CurvatureReport,
     StringObjective,
@@ -184,57 +189,22 @@ class PdaoPolicy:
 def pdao_construct(surrogate: SurrogateObjective, budget: int = DEFAULT_BUDGET) -> PdaoPolicy:
     """Materialize the full path-dependent greedy tree for the surrogate."""
     model = surrogate.model
-    K = model.horizon
-    ensure_budget(model.noise_size ** (K - 1), budget, "noise-tree construction")
-    actions_by_history: dict[tuple[int, ...], int] = {}
-    records: list[PathRecord] = []
 
     def choose(states: list[int], actions: list[int]) -> int:
-        best_action = 0
-        best_value = -math.inf
-        for action in range(model.num_actions):
-            value = surrogate.evaluate_path(states, actions + [action])
-            if value > best_value:
-                best_action = action
-                best_value = value
-        return best_action
+        return max(
+            range(model.num_actions),
+            key=lambda action: surrogate.evaluate_path(states, actions + [action]),
+        )
 
-    def walk(prefix: tuple[int, ...], states: list[int], actions: list[int], probability: float) -> None:
-        stage = len(actions) + 1
-        action = choose(states, actions)
-        actions_by_history[prefix] = action
-        actions = actions + [action]
-        if stage == K:
-            total = 0.0
-            for x, a in zip(states, actions):
-                total += float(model.reward[x, a])
-            records.append(
-                PathRecord(
-                    noise=prefix,
-                    probability=probability,
-                    states=tuple(states),
-                    actions=tuple(actions),
-                    reward=total,
-                )
-            )
-            return
-        for symbol in range(model.noise_size):
-            successor = int(model.transition[states[-1], action, symbol])
-            walk(
-                prefix + (symbol,),
-                states + [successor],
-                actions,
-                probability * float(model.noise_probs[symbol]),
-            )
-
-    walk((), [model.initial_state], [], 1.0)
-    expected = 0.0
+    records = walk_noise_tree(model, choose, budget)
+    actions_by_history: dict[tuple[int, ...], int] = {}
     for record in records:
-        expected += record.probability * record.reward
+        for stage, action in enumerate(record.actions):
+            actions_by_history.setdefault(record.noise[:stage], action)
     return PdaoPolicy(
         actions_by_history=actions_by_history,
-        paths=tuple(records),
-        expected_value=float(expected),
+        paths=records,
+        expected_value=float(sum(r.probability * r.reward for r in records)),
     )
 
 
@@ -288,7 +258,7 @@ class StageEvidence:
 
 
 def check_pdao_gps_equivalence(
-    obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET, tol: float = VALUE_TOL
+    obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, tuple[StageEvidence, ...]]:
     """Verify the path-dependent scheme attains every stage-wise selection maximum.
 
@@ -298,11 +268,11 @@ def check_pdao_gps_equivalence(
     attainment is what is verified; the induced table may differ from the
     lexicographic pick on states that are never realized.
     """
-    return _pdao_gps_equivalence(obj, pdao_construct(obj.surrogate, budget=budget), tol)
+    return _pdao_gps_equivalence(obj, pdao_construct(obj.surrogate, budget=budget))
 
 
 def _pdao_gps_equivalence(
-    obj: PolicyStringObjective, pdao: PdaoPolicy, tol: float
+    obj: PolicyStringObjective, pdao: PdaoPolicy
 ) -> tuple[bool, tuple[StageEvidence, ...]]:
     model = obj.surrogate.model
     K = model.horizon
@@ -323,7 +293,7 @@ def _pdao_gps_equivalence(
             StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
         )
         prefix = prefix + (mine_index,)
-    verified = all(item.gap <= tol for item in evidence)
+    verified = all(item.gap <= VALUE_TOL for item in evidence)
     return verified, tuple(evidence)
 
 
@@ -369,7 +339,6 @@ def check_surrogate_monotonicity(
     model: MdpModel,
     approximator: EvtgApproximator,
     budget: int = DEFAULT_BUDGET,
-    tol: float = VALUE_TOL,
 ) -> MonotonicityCertificate:
     """Exhaustively test the reward-versus-continuation monotonicity condition.
 
@@ -379,69 +348,72 @@ def check_surrogate_monotonicity(
     prefix, continuation term 0) is included so the certificate holds exactly
     when the averaged surrogate is prefix-monotone, nonnegativity included.
 
-    Expectations are computed by propagating the state distribution, not by
-    evaluating the averaged surrogate, so this check is an independent route.
+    Expectations come from propagating the state distribution of every policy
+    string forward, level by level, not from evaluating the averaged
+    surrogate path by path, so this check is a route independent of
+    ``policy_string_objective``.  Level n holds, for every string of length n
+    in lexicographic order, the expected reward so far (``cum``) and the
+    expected W at stage n (``ew``); the slack of split (m, n) is
+    (cum_n - cum_m) - (ew_m - ew_n).  The witness is the first worst
+    (string, m) in depth-first order of the strings.
     """
     ground = policy_ground_set(model)
+    P = len(ground)
     K = model.horizon
-    nodes = sum(len(ground) ** n for n in range(1, K + 1))
-    ensure_budget(nodes, budget, "monotonicity-condition enumeration")
-
-    reward = model.reward
-    transition = model.transition
-    probs = model.noise_probs
     S = model.num_states
-    N = model.noise_size
-    w = approximator.evaluate
+    ensure_budget(sum(P**n for n in range(1, K + 1)), budget, "monotonicity-condition enumeration")
 
-    worst = math.inf
-    witness: Optional[tuple[PolicyString, PolicyString]] = None
+    # actions[j, x] is the action of stage policy j at state x.
+    actions = np.array(ground, dtype=np.int64).reshape(P, S)
+    policies = np.arange(P)
+    probs = model.noise_probs
+    cum = [np.zeros(1)]
+    ew = [np.zeros(1)]
+    dist = np.zeros((1, S))
+    dist[0, model.initial_state] = 1.0
+    for n in range(K):
+        # Extend every string of length n by every stage policy.  Sums run
+        # over states in a fixed order, the same for every string, so strings
+        # that differ only on unreached states get bit-equal values.
+        reward_n = np.zeros((len(dist), P))
+        w_n = np.zeros((len(dist), P))
+        successor = np.zeros((len(dist), P, S)) if n + 1 < K else None
+        for x in range(S):
+            p = dist[:, x, None]
+            a = actions[:, x]
+            reward_n += p * model.reward[x, a]
+            w_n += p * approximator.table[n, x, a]
+            if successor is not None:
+                for symbol in range(model.noise_size):
+                    successor[:, policies, model.transition[x, a, symbol]] += p * probs[symbol]
+        cum.append((cum[n][:, None] + reward_n).ravel())
+        ew.append(w_n.ravel())
+        if successor is not None:
+            dist = successor.reshape(-1, S)
 
-    def recurse(
-        prefix: tuple[MarkovPolicy, ...],
-        dist: np.ndarray,
-        history: list[tuple[float, float]],
-    ) -> None:
-        nonlocal worst, witness
-        n = len(prefix)
-        if n > 0:
-            cum_n, ew_n = history[n]
-            for m in range(n):
-                cum_m, ew_m = history[m]
-                slack = (cum_n - cum_m) - (ew_m - ew_n)
-                if slack < worst:
-                    worst = slack
-                    witness = (prefix[:m], prefix)
-        if n == K:
-            return
-        stage = n + 1
-        for policy in ground:
-            expected_reward = 0.0
-            expected_w = 0.0
-            for state in range(S):
-                p = float(dist[state])
-                if p == 0.0:
-                    continue
-                action = policy[state]
-                expected_reward += p * float(reward[state, action])
-                expected_w += p * float(w(stage, state, action))
-            next_dist = np.zeros(S)
-            for state in range(S):
-                p = float(dist[state])
-                if p == 0.0:
-                    continue
-                action = policy[state]
-                for symbol in range(N):
-                    next_dist[int(transition[state, action, symbol])] += p * float(probs[symbol])
-            cum, _ = history[n]
-            history.append((cum + expected_reward, expected_w))
-            recurse(prefix + (policy,), next_dist, history)
-            history.pop()
-
-    start = np.zeros(S)
-    start[model.initial_state] = 1.0
-    recurse((), start, [(0.0, 0.0)])
-    return MonotonicityCertificate(holds=worst >= -tol, worst_slack=worst, witness=witness)
+    candidates = []
+    for n in range(1, K + 1):
+        low = np.full(P**n, math.inf)
+        first_m = np.zeros(P**n, dtype=np.int64)
+        for m in range(n):
+            # Rows are the length-m prefixes, columns their extensions to length n.
+            width = P ** (n - m)
+            slack = (
+                (cum[n].reshape(-1, width) - cum[m][:, None])
+                - (ew[m][:, None] - ew[n].reshape(-1, width))
+            ).ravel()
+            first_m[slack < low] = m
+            low = np.minimum(low, slack)
+        s = int(np.argmin(low))
+        string = tuple(int(i) for i in np.unravel_index(s, (P,) * n))
+        candidates.append((float(low[s]), string, int(first_m[s])))
+    worst, string, m = min(candidates)
+    policy_string = tuple(ground[i] for i in string)
+    return MonotonicityCertificate(
+        holds=worst >= -VALUE_TOL,
+        worst_slack=worst,
+        witness=(policy_string[:m], policy_string),
+    )
 
 
 @dataclass(frozen=True)
@@ -463,14 +435,13 @@ def adp_bound_report(
     model: MdpModel,
     approximator: EvtgApproximator,
     budget: int = DEFAULT_BUDGET,
-    tol: float = VALUE_TOL,
 ) -> AdpBoundReport:
     """Run the whole certification pipeline for one scheme on one model.
 
     The averaged surrogate becomes a string objective whose greedy strategy is
     the scheme itself; its brute-force optimum is cross-checked against
-    backward induction and its greedy value against the forward run, each to
-    ``tol`` relative to the size of the values compared.  When the
+    backward induction and its greedy value against the forward run, each with
+    :func:`values_agree`.  When the
     monotonicity certificate holds, the achieved ratio is asserted against the
     finite-horizon curvature bound.  Models whose policy-string enumeration
     exceeds the budget still get exact values and the scheme checks, but the
@@ -490,7 +461,7 @@ def adp_bound_report(
 
     obj = policy_string_objective(model, approximator, budget=budget)
     pdao = pdao_construct(obj.surrogate, budget=budget)
-    gps_ok, _ = _pdao_gps_equivalence(obj, pdao, tol)
+    gps_ok, _ = _pdao_gps_equivalence(obj, pdao)
     identity_ok, _ = _adp_pdao_identity(run, pdao)
 
     if len(ground) ** K > budget:
@@ -499,17 +470,17 @@ def adp_bound_report(
         curvature = greedy_guarantee_report(obj.objective, K, budget=budget)
         flags.extend(curvature.flags)
         optimal_value = curvature.optimal_value
-        if not values_agree(optimal_value, bellman_value, tol):
+        if not values_agree(optimal_value, bellman_value):
             raise GuaranteeViolationError(
                 f"policy-string optimum {optimal_value!r} disagrees with "
                 f"backward induction {bellman_value!r}"
             )
-        if not values_agree(curvature.greedy_value, adp_value, tol):
+        if not values_agree(curvature.greedy_value, adp_value):
             raise GuaranteeViolationError(
                 f"stage-wise greedy value {curvature.greedy_value!r} disagrees with "
                 f"the forward run {adp_value!r}"
             )
-        certificate = check_surrogate_monotonicity(model, approximator, budget=budget, tol=tol)
+        certificate = check_surrogate_monotonicity(model, approximator, budget=budget)
 
     if optimal_value == 0.0 and adp_value == 0.0:
         ratio = 1.0
@@ -522,7 +493,7 @@ def adp_bound_report(
         certificate.holds
         and curvature is not None
         and not math.isnan(curvature.bound_finite_K)
-        and ratio < curvature.bound_finite_K - tol
+        and ratio < curvature.bound_finite_K - VALUE_TOL
     ):
         raise GuaranteeViolationError(
             f"certified ratio {ratio!r} fell below the bound {curvature.bound_finite_K!r}"

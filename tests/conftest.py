@@ -159,7 +159,7 @@ def schemes_for(model: MdpModel, index: int):
     """The four scheme variants used by every model sweep, seeded per instance."""
     rng = instance_rng(MDP_SWEEP_SEED + 900, index)
     return {
-        "myopic": myopic_w(),
+        "myopic": myopic_w(model),
         "rollout": make_scheme(model, "rollout", base_policy=random_base_policy(rng, model)),
         "linearq": make_scheme(model, "linearq", theta=random_theta(rng, model)),
         "exact_evtg": exact_evtg_w(model),

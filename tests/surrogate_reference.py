@@ -1,0 +1,106 @@
+"""Loop references for the table code in ``adpbound.schemes`` and ``adpbound.surrogate``.
+
+``scheme_policy`` scores every (stage, state, action) one at a time, and
+``monotonicity_certificate`` walks the policy-string tree depth first,
+propagating one state distribution per node.  The library computes the same
+quantities as array reductions with the same floating-point operations in the
+same order, so results must agree with ``==``, not within a tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from adpbound.common import VALUE_TOL
+from adpbound.mdp import MarkovPolicy, MdpModel, PolicyString
+from adpbound.schemes import EvtgApproximator
+from adpbound.surrogate import policy_ground_set
+
+
+def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:
+    """The scheme's action at every (stage, state): first maximizer of r + W."""
+    w = approximator.evaluate
+    policy = []
+    for stage in range(1, model.horizon + 1):
+        actions = []
+        for state in range(model.num_states):
+            best_action = 0
+            best_value = -math.inf
+            for action in range(model.num_actions):
+                value = float(model.reward[state, action]) + float(w(stage, state, action))
+                if value > best_value:
+                    best_action = action
+                    best_value = value
+            actions.append(best_action)
+        policy.append(tuple(actions))
+    return tuple(policy)
+
+
+def monotonicity_certificate(
+    model: MdpModel, approximator: EvtgApproximator
+) -> tuple[bool, float, Optional[tuple[PolicyString, PolicyString]]]:
+    """(holds, worst slack, witness) of the monotonicity condition, node by node.
+
+    The witness is the first split (prefix, string) attaining the worst slack,
+    visiting strings depth first and splits m in increasing order.
+    """
+    ground = policy_ground_set(model)
+    K = model.horizon
+    reward = model.reward
+    transition = model.transition
+    probs = model.noise_probs
+    S = model.num_states
+    N = model.noise_size
+    w = approximator.evaluate
+
+    worst = math.inf
+    witness: Optional[tuple[PolicyString, PolicyString]] = None
+
+    def recurse(
+        prefix: tuple[MarkovPolicy, ...],
+        dist: np.ndarray,
+        history: list[tuple[float, float]],
+    ) -> None:
+        nonlocal worst, witness
+        n = len(prefix)
+        if n > 0:
+            cum_n, ew_n = history[n]
+            for m in range(n):
+                cum_m, ew_m = history[m]
+                slack = (cum_n - cum_m) - (ew_m - ew_n)
+                if slack < worst:
+                    worst = slack
+                    witness = (prefix[:m], prefix)
+        if n == K:
+            return
+        stage = n + 1
+        for policy in ground:
+            expected_reward = 0.0
+            expected_w = 0.0
+            for state in range(S):
+                p = float(dist[state])
+                if p == 0.0:
+                    continue
+                action = policy[state]
+                expected_reward += p * float(reward[state, action])
+                expected_w += p * float(w(stage, state, action))
+            next_dist = np.zeros(S)
+            for state in range(S):
+                p = float(dist[state])
+                if p == 0.0:
+                    continue
+                action = policy[state]
+                for symbol in range(N):
+                    next_dist[int(transition[state, action, symbol])] += p * float(probs[symbol])
+            cum, _ = history[n]
+            history.append((cum + expected_reward, expected_w))
+            recurse(prefix + (policy,), next_dist, history)
+            history.pop()
+
+    start = np.zeros(S)
+    start[model.initial_state] = 1.0
+    recurse((), start, [(0.0, 0.0)])
+    return worst >= -VALUE_TOL, worst, witness

@@ -32,7 +32,6 @@ from adpbound import (
     policy_string_objective,
     rollout_w,
     save_model,
-    RolloutConfig,
 )
 from adpbound.cli import main
 from conftest import chain_model, schemes_for
@@ -169,13 +168,13 @@ def test_chain_fixture_regression():
     _, tables = bellman_solve(model)
     assert float(tables.V[0, 0]) == 5.0
 
-    myopic_report = adp_bound_report(model, myopic_w())
+    myopic_report = adp_bound_report(model, myopic_w(model))
     assert myopic_report.adp_value == 2.0
     assert myopic_report.ratio == 0.4
     assert myopic_report.monotone_certificate
     assert myopic_report.curvature.bound_finite_K <= 0.4
 
-    rollout = rollout_w(model, RolloutConfig(base_policy=((0, 0), (0, 0))))
+    rollout = rollout_w(model, ((0, 0), (0, 0)))
     assert adp_forward(model, rollout).expected_value == 5.0
     assert adp_forward(model, exact_evtg_w(model)).expected_value == 5.0
     _announce("chain fixture regression (5.0 / 2.0 / 0.4 / 5.0 / 5.0)")

@@ -205,6 +205,57 @@ class TestExitCodes:
     def test_parse_error_for_bad_flags(self):
         assert main(["run-adp", "--scheme", "nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--count", "0"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--states", "0"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--actions", "0"],
+            ["check-equivalence", "--generate", "random_mdp", "--noise", "0"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--K", "0"],
+            ["verify-theorem1", "--generate", "coverage_submodular", "--ground-size", "0"],
+            ["verify-theorem1", "--generate", "coverage_submodular", "--count", "-2"],
+            ["run-adp", "--model", "unused.json", "--scheme", "myopic", "--mc", "0"],
+            ["solve-dp", "--model", "unused.json", "--K", "zero"],
+        ],
+    )
+    def test_parse_error_for_sizes_below_one(self, args, capsys):
+        assert main(args) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("solve-dp", "reward", float("nan")),
+            ("bound-adp", "reward", float("nan")),
+            ("bound-adp", "noise", float("nan")),
+            ("bound-adp", "reward", float("inf")),
+            ("bound-adp", "features", float("nan")),
+        ],
+    )
+    def test_parse_error_for_non_finite_numbers(self, chain_file, tmp_path, command, field,
+                                                value):
+        data = json.loads(Path(chain_file).read_text())
+        if field == "noise":
+            data["noise"] = {"support": [0, 1], "probs": [value, 0.5]}
+            data["transition"] = [[[0, 0], [1, 1]], [[1, 1], [1, 1]]]
+        elif field == "features":
+            data["features"][0][0] = value
+        else:
+            data["reward"][0][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        args = [command, "--model", str(bad)]
+        if command == "bound-adp":
+            args += ["--scheme", "myopic"]
+        assert main(args) == 2
+
+    def test_parse_error_for_non_finite_theta(self, chain_file, tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps([[2.0], [float("nan")]]))
+        assert main(["run-adp", "--model", chain_file, "--scheme", "linearq",
+                     "--theta", str(theta)]) == 2
+
     def test_budget_exceeded(self, chain_file):
         assert main(["bound-adp", "--model", chain_file, "--scheme", "myopic",
                      "--budget", "0"]) == 3

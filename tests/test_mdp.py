@@ -21,7 +21,6 @@ from adpbound import (
     GeneratedInstanceSpec,
     MdpModel,
     ModelFormatError,
-    RolloutConfig,
     backward_values,
     bellman_solve,
     enumerate_noise_paths,
@@ -205,7 +204,7 @@ class TestExactEvtg:
 
     def test_rollout_matches_reference_on_noisy_chain(self, m_noise):
         base = ((1, 0), (0, 1))
-        w = rollout_w(m_noise, RolloutConfig(base_policy=base))
+        w = rollout_w(m_noise, base)
         for stage, x, a in itertools.product((1, 2), range(2), range(2)):
             assert w.evaluate(stage, x, a) == path_exact_evtg(m_noise, base[stage:], stage, x, a)
 
@@ -241,7 +240,7 @@ def test_backward_values_match_path_oracle(case):
     for length in range(model.horizon + 1):
         prefix = policy[:length]
         assert values_agree(evaluate_policy_exact(model, prefix), path_policy_value(model, prefix))
-    w = rollout_w(model, RolloutConfig(base_policy=policy))
+    w = rollout_w(model, policy)
     for stage, x, a in itertools.product(
         range(1, model.horizon + 1), range(model.num_states), range(model.num_actions)
     ):

@@ -9,8 +9,6 @@ import pytest
 
 from adpbound import (
     EvtgApproximator,
-    LinearQConfig,
-    RolloutConfig,
     adp_forward,
     bellman_solve,
     exact_evtg_w,
@@ -28,33 +26,33 @@ STAY_BASE = ((0, 0), (0, 0))
 
 class TestMyopic:
     def test_zero_everywhere(self, m_chain):
-        w = myopic_w()
+        w = myopic_w(m_chain)
         for stage in (1, 2):
             for x in range(2):
                 for a in range(2):
                     assert w.evaluate(stage, x, a) == 0.0
 
     def test_forward_run_is_reward_chasing(self, m_chain):
-        run = adp_forward(m_chain, myopic_w())
+        run = adp_forward(m_chain, myopic_w(m_chain))
         assert run.paths[0].actions == (0, 0)
         assert run.expected_value == 2.0
 
 
 class TestRollout:
     def test_values_against_exact_evtg(self, m_chain):
-        w = rollout_w(m_chain, RolloutConfig(base_policy=STAY_BASE))
+        w = rollout_w(m_chain, STAY_BASE)
         assert w.evaluate(1, 0, 1) == 5.0
         assert w.evaluate(1, 0, 0) == 1.0
         assert w.evaluate(2, 0, 1) == 0.0
 
     def test_forward_run_escapes_the_trap(self, m_chain):
-        run = adp_forward(m_chain, rollout_w(m_chain, RolloutConfig(base_policy=STAY_BASE)))
+        run = adp_forward(m_chain, rollout_w(m_chain, STAY_BASE))
         assert run.paths[0].actions[0] == 1
         assert run.expected_value == 5.0
 
     def test_requires_full_length_base(self, m_chain):
         with pytest.raises(ValueError):
-            rollout_w(m_chain, RolloutConfig(base_policy=(STAY_BASE[0],)))
+            rollout_w(m_chain, (STAY_BASE[0],))
 
     def test_stage_one_beats_base_on_chain_family(self):
         # Deterministic chain variants: the improved scheme never loses to its base.
@@ -65,18 +63,18 @@ class TestRollout:
             from adpbound import evaluate_policy_exact
 
             base_value = evaluate_policy_exact(model, STAY_BASE)
-            run = adp_forward(model, rollout_w(model, RolloutConfig(base_policy=STAY_BASE)))
+            run = adp_forward(model, rollout_w(model, STAY_BASE))
             assert run.expected_value >= base_value - 1e-12
 
 
 class TestLinearQ:
     def test_zero_weights_degenerate(self, m_chain):
-        w = linear_q_w(m_chain, LinearQConfig(theta=np.zeros((2, 1)), phi=m_chain.features))
+        w = linear_q_w(m_chain, np.zeros((2, 1)))
         run = adp_forward(m_chain, w)
         assert run.paths[0].actions == (0, 0)
 
     def test_weights_steer_the_choice(self, m_chain):
-        w = linear_q_w(m_chain, LinearQConfig(theta=np.array([[2.0], [5.0]]), phi=m_chain.features))
+        w = linear_q_w(m_chain, np.array([[2.0], [5.0]]))
         # Parametric scores at state 0 are 2 (stay) vs 5 (go).
         assert m_chain.reward[0, 0] + w.evaluate(1, 0, 0) == 2.0
         assert m_chain.reward[0, 1] + w.evaluate(1, 0, 1) == 5.0
@@ -84,13 +82,24 @@ class TestLinearQ:
         assert run.paths[0].actions[0] == 1
 
     def test_dimension_mismatch(self, m_chain):
-        with pytest.raises(ValueError):
-            LinearQConfig(theta=np.zeros((2, 3)), phi=m_chain.features)
-        with pytest.raises(ValueError):
-            linear_q_w(m_chain, LinearQConfig(theta=np.zeros((5, 1)), phi=m_chain.features))
+        with pytest.raises(ValueError, match="does not match feature dimension"):
+            linear_q_w(m_chain, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="one weight vector per action"):
+            linear_q_w(m_chain, np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="one weight vector per action"):
+            linear_q_w(m_chain, np.zeros(2))
+
+    def test_needs_model_features(self, m_chain):
+        with pytest.raises(ValueError, match="features"):
+            linear_q_w(dataclasses.replace(m_chain, features=None), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, m_chain, bad):
+        with pytest.raises(ValueError, match="finite"):
+            linear_q_w(m_chain, np.array([[1.0], [bad]]))
 
     def test_terminal_stage_ignores_weights(self, m_chain):
-        w = linear_q_w(m_chain, LinearQConfig(theta=np.full((2, 1), 9.0), phi=m_chain.features))
+        w = linear_q_w(m_chain, np.full((2, 1), 9.0))
         assert w.evaluate(2, 0, 1) == 0.0
 
 
@@ -114,8 +123,16 @@ class TestForwardScheme:
                 for a in range(m_noise.num_actions):
                     assert scheme.evaluate(m_noise.horizon, x, a) == 0.0, name
 
+    def test_table_must_vanish_at_the_final_stage(self):
+        table = np.zeros((2, 2, 2))
+        table[1, 0, 1] = 3.0
+        with pytest.raises(ValueError, match="final stage"):
+            EvtgApproximator(table)
+        with pytest.raises(ValueError, match="final stage"):
+            EvtgApproximator(np.zeros((2, 2)))
+
     def test_state_recursion_on_every_path(self, m_noise):
-        run = adp_forward(m_noise, myopic_w())
+        run = adp_forward(m_noise, myopic_w(m_noise))
         for record in run.paths:
             for k in range(len(record.states) - 1):
                 expected = m_noise.transition[record.states[k], record.actions[k], record.noise[k]]
@@ -130,15 +147,11 @@ class TestForwardScheme:
                 assert run.expected_value <= best + 1e-12
 
     def test_state_constant_shift_leaves_actions_unchanged(self, m_noise):
-        base = rollout_w(m_noise, RolloutConfig(base_policy=STAY_BASE))
-        offsets = {0: 0.7, 1: 1.9}
-
-        def shifted(stage, state, action):
-            if stage == m_noise.horizon:
-                return base.evaluate(stage, state, action)
-            return base.evaluate(stage, state, action) + offsets[state]
-
-        shifted_w = EvtgApproximator(kind="shifted", evaluate=shifted)
+        base = rollout_w(m_noise, STAY_BASE)
+        shifted = base.table.copy()
+        # Add a per-state constant at every stage but the last.
+        shifted[:-1] += np.array([0.7, 1.9])[:, None]
+        shifted_w = EvtgApproximator(shifted)
         original = adp_forward(m_noise, base)
         moved = adp_forward(m_noise, shifted_w)
         for a, b in zip(original.paths, moved.paths):
@@ -175,13 +188,13 @@ class TestForwardMonteCarlo:
             assert stderr == 0.0
 
     def test_noisy_model_within_three_stderr(self, m_noise):
-        scheme = rollout_w(m_noise, RolloutConfig(base_policy=STAY_BASE))
+        scheme = rollout_w(m_noise, STAY_BASE)
         exact = adp_forward(m_noise, scheme).expected_value
         mean, stderr = simulate_scheme(m_noise, scheme, samples=50_000, seed=5)
         assert abs(mean - exact) <= 3.0 * stderr
 
     def test_seeded_reproducibility(self, m_noise):
-        scheme = myopic_w()
+        scheme = myopic_w(m_noise)
         assert simulate_scheme(m_noise, scheme, 500, seed=9) == simulate_scheme(
             m_noise, scheme, 500, seed=9
         )

@@ -11,13 +11,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adpbound.surrogate
+import surrogate_reference as reference
 from adpbound import (
     EvtgApproximator,
     GeneratedInstanceSpec,
-    RolloutConfig,
+    MdpModel,
     SurrogateObjective,
     adp_bound_report,
     bellman_solve,
@@ -41,6 +45,7 @@ from adpbound import (
     policy_string_objective,
     random_base_policy,
     rollout_w,
+    scheme_policy,
 )
 from adpbound.common import values_agree
 from conftest import schemes_for, zero_reward_model
@@ -50,12 +55,12 @@ P0, P1, P2, P3 = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 def stay_rollout(model):
-    return rollout_w(model, RolloutConfig(base_policy=STAY_BASE))
+    return rollout_w(model, STAY_BASE)
 
 
 class TestSurrogateEval:
     def test_myopic_single_stage(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w())
+        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
         assert s.evaluate_path((0,), (0,)) == 1.0
 
     def test_rollout_single_stage(self, m_chain):
@@ -74,7 +79,7 @@ class TestSurrogateEval:
         assert s.evaluate_path((0, 1), (1, 0)) == 5.0
 
     def test_length_mismatch(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w())
+        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
         with pytest.raises(ValueError):
             s.evaluate_path((0, 1), (1,))
 
@@ -91,11 +96,11 @@ class TestPolicyGroundSet:
 
 class TestAveragedSurrogate:
     def test_empty_string(self, m_chain):
-        obj = policy_string_objective(m_chain, myopic_w())
+        obj = policy_string_objective(m_chain, myopic_w(m_chain))
         assert g_avg_eval(obj, ()) == 0.0
 
     def test_terminal_identity_on_fixture(self, m_chain):
-        obj = policy_string_objective(m_chain, myopic_w())
+        obj = policy_string_objective(m_chain, myopic_w(m_chain))
         assert g_avg_eval(obj, (P0, P0)) == evaluate_policy_exact(m_chain, (P0, P0))
 
     def test_rollout_single_policy(self, m_chain):
@@ -114,7 +119,7 @@ class TestAveragedSurrogate:
 
 class TestPdao:
     def test_chain_myopic_tree(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w())
+        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
         pdao = pdao_construct(s)
         assert pdao.paths[0].actions == (0, 0)
         assert pdao.expected_value == 2.0
@@ -127,7 +132,7 @@ class TestPdao:
         assert pdao.expected_value == 5.0
 
     def test_noisy_tree_has_one_branch_per_symbol(self, m_noise):
-        s = SurrogateObjective(model=m_noise, approximator=myopic_w())
+        s = SurrogateObjective(model=m_noise, approximator=myopic_w(m_noise))
         pdao = pdao_construct(s)
         assert set(pdao.actions_by_history) == {(), (0,), (1,)}
         for record in pdao.paths:
@@ -145,7 +150,7 @@ class TestPdao:
 
 class TestGps:
     def test_chain_myopic_first_stage(self, m_chain):
-        obj = policy_string_objective(m_chain, myopic_w())
+        obj = policy_string_objective(m_chain, myopic_w(m_chain))
         gps = gps_construct(obj)
         assert gps[0][0] == 0
 
@@ -155,7 +160,7 @@ class TestGps:
         assert g_avg_eval(obj, gps) == 5.0
 
     def test_definitional_identity_with_greedy(self, m_noise):
-        for scheme in (myopic_w(), stay_rollout(m_noise)):
+        for scheme in (myopic_w(m_noise), stay_rollout(m_noise)):
             obj = policy_string_objective(m_noise, scheme)
             trace = greedy_string(obj.objective, m_noise.horizon)
             assert gps_construct(obj) == obj.policies_for(trace.string)
@@ -164,7 +169,7 @@ class TestGps:
 class TestSchemeEquivalences:
     def test_stagewise_maximum_attained(self, m_chain, m_noise):
         for model, scheme in [
-            (m_chain, myopic_w()),
+            (m_chain, myopic_w(m_chain)),
             (m_noise, stay_rollout(m_noise)),
         ]:
             obj = policy_string_objective(model, scheme)
@@ -174,7 +179,7 @@ class TestSchemeEquivalences:
 
     def test_forward_equals_path_dependent(self, m_chain, m_noise):
         for model, scheme in [
-            (m_chain, myopic_w()),
+            (m_chain, myopic_w(m_chain)),
             (m_noise, stay_rollout(m_noise)),
         ]:
             ok, mismatches = check_adp_pdao_identity(model, scheme)
@@ -184,12 +189,12 @@ class TestSchemeEquivalences:
 class TestMonotonicityCertificate:
     def test_myopic_always_holds(self, m_chain, m_noise):
         for model in (m_chain, m_noise):
-            cert = check_surrogate_monotonicity(model, myopic_w())
+            cert = check_surrogate_monotonicity(model, myopic_w(model))
             assert cert.holds
             assert cert.worst_slack >= 0.0
 
     def test_chain_myopic_worst_slack_is_zero(self, m_chain):
-        cert = check_surrogate_monotonicity(m_chain, myopic_w())
+        cert = check_surrogate_monotonicity(m_chain, myopic_w(m_chain))
         assert cert.worst_slack == 0.0
         assert cert.witness == ((P0,), (P0, P2))
 
@@ -202,9 +207,7 @@ class TestMonotonicityCertificate:
         assert cert.witness == ((P0,), (P0, P2))
 
     def test_constructed_violation(self, m_chain):
-        inflated = EvtgApproximator(
-            kind="inflated", evaluate=lambda k, x, a: 10.0 if k == 1 else 0.0
-        )
+        inflated = EvtgApproximator([[[10.0, 10.0], [10.0, 10.0]], [[0.0, 0.0], [0.0, 0.0]]])
         cert = check_surrogate_monotonicity(m_chain, inflated)
         assert not cert.holds
         assert cert.witness is not None
@@ -221,7 +224,7 @@ class TestMonotonicityCertificate:
 
 class TestBoundReport:
     def test_chain_myopic_frozen_values(self, m_chain):
-        report = adp_bound_report(m_chain, myopic_w())
+        report = adp_bound_report(m_chain, myopic_w(m_chain))
         assert report.optimal_value == 5.0
         assert report.adp_value == 2.0
         assert report.ratio == 0.4
@@ -249,13 +252,14 @@ class TestBoundReport:
         assert report.ratio == 1.0
 
     def test_zero_reward_degenerate(self):
-        report = adp_bound_report(zero_reward_model(), myopic_w())
+        model = zero_reward_model()
+        report = adp_bound_report(model, myopic_w(model))
         assert report.ratio == 1.0
         assert "degenerate_zero_optimum" in report.flags
         assert report.monotone_certificate  # zero rewards, zero continuation
 
     def test_bound_skipped_when_strings_exceed_budget(self, m_chain):
-        report = adp_bound_report(m_chain, myopic_w(), budget=10)
+        report = adp_bound_report(m_chain, myopic_w(m_chain), budget=10)
         assert "bound_not_computed" in report.flags
         assert report.curvature is None
         assert report.optimal_value == 5.0
@@ -263,7 +267,7 @@ class TestBoundReport:
         assert not report.monotone_certificate
 
     def test_json_field_set_is_stable(self, m_chain):
-        data = bound_report_to_dict(adp_bound_report(m_chain, myopic_w()))
+        data = bound_report_to_dict(adp_bound_report(m_chain, myopic_w(m_chain)))
         assert list(data) == [
             "eta",
             "sigma",
@@ -284,7 +288,7 @@ class TestBoundReport:
         import dataclasses
 
         model = dataclasses.replace(m_chain, horizon=1)
-        report = adp_bound_report(model, myopic_w())
+        report = adp_bound_report(model, myopic_w(model))
         assert report.adp_value == 1.0
         assert report.optimal_value == 1.0
         assert report.ratio == 1.0
@@ -340,3 +344,46 @@ def test_values_agree_is_absolute_up_to_one_and_relative_above():
     assert values_agree(0.5, 0.5 + 0.9e-12)
     assert not values_agree(0.5, 0.5 + 1.1e-12)
     assert not values_agree(0.0, 2e-12)
+
+
+@st.composite
+def models_with_w_tables(draw):
+    """Random models and W tables of small integers, so exact ties are common.
+
+    Negative W entries make certificates fail.  K is capped so that the loop
+    reference visits at most 4096 full-length policy strings.
+    """
+    S = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3))
+    P = A**S
+    K = draw(st.integers(1, max(k for k in range(1, 5) if P**k <= 4096)))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=N, max_size=N)), dtype=float)
+    transition = draw(st.lists(st.integers(0, S - 1), min_size=S * A * N, max_size=S * A * N))
+    reward = draw(st.lists(st.integers(0, 3), min_size=S * A, max_size=S * A))
+    model = MdpModel(
+        num_states=S,
+        num_actions=A,
+        horizon=K,
+        initial_state=draw(st.integers(0, S - 1)),
+        noise_probs=weights / weights.sum(),
+        transition=np.reshape(transition, (S, A, N)),
+        reward=np.reshape(reward, (S, A)),
+    )
+    cells = (K - 1) * S * A
+    table = np.zeros((K, S, A))
+    table[:-1] = np.reshape(
+        draw(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells)), (K - 1, S, A)
+    )
+    return model, EvtgApproximator(table)
+
+
+@given(case=models_with_w_tables())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_tables_match_loop_reference(case):
+    model, w = case
+    cert = check_surrogate_monotonicity(model, w)
+    assert (cert.holds, cert.worst_slack, cert.witness) == reference.monotonicity_certificate(
+        model, w
+    )
+    assert scheme_policy(model, w) == reference.scheme_policy(model, w)
