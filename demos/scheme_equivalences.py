@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """The two identities that make forward schemes boundable.
 
-First identity: the forward scheme equals path-dependent greedy action
-selection against the surrogate, path by path (the shared-prefix reward terms
-cancel inside the argmax).  Second identity: the path-dependent choices induce
-stage policies attaining the stage-wise selection maximum over the whole
-policy ground set.  Both are checked exhaustively on a noisy model.
+The forward scheme is run once and checked against the surrogate.  First
+identity: on every noise path, each action it takes is a path-dependent
+greedy choice, a maximizer of the surrogate's path score (the shared-prefix
+reward terms cancel inside the argmax).  Second identity: the stage policies
+the run induces attain the stage-wise selection maximum over the whole
+policy ground set, so they form a greedy string of the averaged surrogate.
+Both are checked exhaustively on a noisy model.
 """
 
 from adpbound import (
     MdpModel,
-    SurrogateObjective,
-    check_adp_pdao_identity,
-    check_pdao_gps_equivalence,
+    adp_forward,
+    check_path_greedy,
+    check_stagewise_selection,
     check_surrogate_monotonicity,
+    induced_stage_policies,
     myopic_w,
-    pdao_construct,
     policy_string_objective,
     rollout_w,
 )
@@ -42,19 +44,19 @@ def main() -> None:
 
     for name, scheme in schemes.items():
         print(f"=== {name} ===")
-        pdao = pdao_construct(SurrogateObjective(model=model, approximator=scheme))
-        for record in pdao.paths:
+        run = adp_forward(model, scheme)
+        for record in run.paths:
             print(
                 f"  noise {record.noise}: states {record.states} actions {record.actions} "
                 f"reward {record.reward:.1f} (prob {record.probability:.2f})"
             )
-        print(f"  expected value {pdao.expected_value:.2f}")
-
-        ok, mismatches = check_adp_pdao_identity(model, scheme)
-        print(f"  forward scheme identical on every path: {ok} (mismatches: {len(mismatches)})")
+        print(f"  expected value {run.expected_value:.2f}")
 
         obj = policy_string_objective(model, scheme)
-        verified, evidence = check_pdao_gps_equivalence(obj)
+        ok, mismatches = check_path_greedy(obj.surrogate, run)
+        print(f"  path-dependent greedy on every path: {ok} (mismatches: {len(mismatches)})")
+
+        verified, evidence = check_stagewise_selection(obj, induced_stage_policies(run, model))
         gaps = [item.gap for item in evidence]
         print(f"  stage-wise selection maximum attained: {verified} (gaps {gaps})")
 

@@ -63,12 +63,12 @@ from .surrogate import (
     adp_bound_report,
     bound_report_to_dict,
     check_adp_pdao_identity,
+    check_path_greedy,
     check_pdao_gps_equivalence,
+    check_stagewise_selection,
     check_surrogate_monotonicity,
     g_avg_eval,
-    gps_construct,
     induced_stage_policies,
-    pdao_construct,
     policy_ground_set,
     policy_string_objective,
 )

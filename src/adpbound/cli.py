@@ -6,7 +6,7 @@ solve-dp          backward induction: value tables and the optimal policy
 run-adp           roll a scheme forward (exact expectation or seeded Monte Carlo)
 bound-adp         full certification pipeline for one scheme on one model
 verify-theorem1   guarantee sweep over generated string objectives
-check-equivalence scheme-identity checks (forward == path-dependent == stage-wise)
+check-equivalence scheme-identity checks (the forward run is path- and stage-wise greedy)
 
 Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 failed certified
 assertion, 5 degenerate instance under --strict.  Reports carry no
@@ -47,9 +47,10 @@ from .stringopt import greedy_guarantee_report
 from .surrogate import (
     adp_bound_report,
     bound_report_to_dict,
-    check_adp_pdao_identity,
-    check_pdao_gps_equivalence,
+    check_path_greedy,
+    check_stagewise_selection,
     curvature_report_to_dict,
+    induced_stage_policies,
     policy_string_objective,
 )
 
@@ -78,10 +79,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """Argparse type for seeds, which numpy's ``SeedSequence`` needs nonnegative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="maximum leaf evaluations per exhaustive enumeration")
-    parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    parser.add_argument("--seed", type=nonnegative_int, default=0,
+                        help="root seed for all randomness")
     parser.add_argument("--out", type=str, default=None,
                         help="report file (or directory for sweeps); stdout if omitted")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -150,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify_theorem1)
 
     check = sub.add_parser("check-equivalence",
-                           help="forward/path-dependent/stage-wise identity checks")
+                           help="check the forward run against the surrogate")
     _add_model_scheme(check, scheme_required=False)
     _add_mdp_generate(check)
     _add_common(check)
@@ -192,7 +202,10 @@ def _scheme_for(model: MdpModel, args: argparse.Namespace, index: int = 0):
         raw = _load_json_file(args.theta)
         if isinstance(raw, dict):
             raw = raw.get("theta")
-        theta = np.asarray(raw, dtype=float)
+        try:
+            theta = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"invalid theta table: {exc}") from None
     if getattr(args, "generate", None) is not None:
         # Generated sweeps derive missing scheme inputs from the seed.
         rng = np.random.Generator(
@@ -365,8 +378,9 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
         model = models[index]
         scheme = _scheme_for(model, args, index=index)
         obj = policy_string_objective(model, scheme, budget=args.budget)
-        gps_ok, evidence = check_pdao_gps_equivalence(obj, budget=args.budget)
-        identity_ok, mismatches = check_adp_pdao_identity(model, scheme, budget=args.budget)
+        run = adp_forward(model, scheme, budget=args.budget)
+        gps_ok, evidence = check_stagewise_selection(obj, induced_stage_policies(run, model))
+        identity_ok, mismatches = check_path_greedy(obj.surrogate, run)
         return {
             "instance": index,
             "scheme": args.scheme,

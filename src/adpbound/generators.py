@@ -8,8 +8,10 @@ part of the published contract: fixtures are reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -79,25 +81,16 @@ def _coverage_objective(rng: np.random.Generator, ground_size: int, horizon: int
     return StringObjective(evaluate=evaluate, ground_size=ground_size, horizon=horizon)
 
 
-def _monotone_marginals_objective(
-    rng: np.random.Generator, ground_size: int, horizon: int
+def _table_objective(
+    ground_size: int, horizon: int, extend: Callable[[float], float]
 ) -> StringObjective:
-    # Recursively built table with nonnegative per-(prefix, action) gains;
-    # roughly a quarter of the gains are exactly zero to exercise tie and
-    # skip handling.  Prefix-monotone by construction, order matters.
+    # Tabulates every string up to the horizon, shortest first and in
+    # lexicographic order within a length; ``extend`` maps the value of a
+    # string's parent (the string without its last action) to its own.
     values: dict[tuple[int, ...], float] = {(): 0.0}
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(horizon):
-        next_frontier: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            for action in range(ground_size):
-                if rng.random() < 0.25:
-                    gain = 0.0
-                else:
-                    gain = 0.05 + float(rng.random())
-                values[prefix + (action,)] = values[prefix] + gain
-                next_frontier.append(prefix + (action,))
-        frontier = next_frontier
+    for length in range(1, horizon + 1):
+        for string in itertools.product(range(ground_size), repeat=length):
+            values[string] = extend(values[string[:-1]])
 
     def evaluate(string: tuple[int, ...]) -> float:
         try:
@@ -106,29 +99,26 @@ def _monotone_marginals_objective(
             raise ValueError("string longer than the generated horizon") from None
 
     return StringObjective(evaluate=evaluate, ground_size=ground_size, horizon=horizon)
+
+
+def _monotone_marginals_objective(
+    rng: np.random.Generator, ground_size: int, horizon: int
+) -> StringObjective:
+    # Nonnegative per-(prefix, action) gains; roughly a quarter of the gains
+    # are exactly zero to exercise tie and skip handling.  Prefix-monotone by
+    # construction, order matters.
+    def extend(parent: float) -> float:
+        gain = 0.0 if rng.random() < 0.25 else 0.05 + float(rng.random())
+        return parent + gain
+
+    return _table_objective(ground_size, horizon, extend)
 
 
 def _unconstrained_objective(
     rng: np.random.Generator, ground_size: int, horizon: int
 ) -> StringObjective:
     # Arbitrary nonnegative table; generally neither monotone nor concave.
-    values: dict[tuple[int, ...], float] = {(): 0.0}
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(horizon):
-        next_frontier: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            for action in range(ground_size):
-                values[prefix + (action,)] = float(2.0 * rng.random())
-                next_frontier.append(prefix + (action,))
-        frontier = next_frontier
-
-    def evaluate(string: tuple[int, ...]) -> float:
-        try:
-            return values[tuple(string)]
-        except KeyError:
-            raise ValueError("string longer than the generated horizon") from None
-
-    return StringObjective(evaluate=evaluate, ground_size=ground_size, horizon=horizon)
+    return _table_objective(ground_size, horizon, lambda parent: float(2.0 * rng.random()))
 
 
 def generate_string_instances(spec: GeneratedInstanceSpec) -> tuple[StringObjective, ...]:

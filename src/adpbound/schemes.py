@@ -14,7 +14,7 @@ exact value-to-go of the optimal tail for oracle comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -164,16 +164,12 @@ def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyStri
 
 
 def walk_noise_tree(
-    model: MdpModel,
-    choose: Callable[[list[int], list[int]], int],
-    budget: int = DEFAULT_BUDGET,
+    model: MdpModel, policy: PolicyString, budget: int = DEFAULT_BUDGET
 ) -> tuple[PathRecord, ...]:
-    """Follow a decision rule down every branch of the noise tree.
+    """Follow a policy string down every branch of the noise tree.
 
-    ``choose(states, actions)`` gets the realized states up to the current
-    stage and the actions taken before it, and returns the current action; it
-    is called once per node of the tree.  Returns one record per full noise
-    path, in lexicographic noise order.
+    ``policy[k][x]`` is the action at state ``x`` of stage ``k + 1``.  Returns
+    one record per full noise path, in lexicographic noise order.
     """
     K = model.horizon
     ensure_budget(model.noise_size ** (K - 1), budget, "noise-path enumeration")
@@ -181,7 +177,7 @@ def walk_noise_tree(
     records: list[PathRecord] = []
 
     def walk(noise: tuple[int, ...], states: list[int], actions: list[int], probability: float) -> None:
-        actions = actions + [choose(states, actions)]
+        actions = actions + [policy[len(actions)][states[-1]]]
         if len(actions) == K:
             total = 0.0
             for x, a in zip(states, actions):
@@ -211,6 +207,5 @@ def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = D
     law under the scheme's actions; the run records all paths and the exact
     probability-weighted expected cumulative true reward.
     """
-    policy = scheme_policy(model, approximator)
-    records = walk_noise_tree(model, lambda states, actions: policy[len(actions)][states[-1]], budget)
+    records = walk_noise_tree(model, scheme_policy(model, approximator), budget)
     return AdpRun(paths=records, expected_value=float(sum(r.probability * r.reward for r in records)))

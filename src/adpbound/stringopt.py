@@ -87,7 +87,8 @@ class GreedyTrace:
 
     ``prefix_values[i]`` is the objective value of the first ``i + 1`` greedy
     actions.  ``tie_sets[i]`` lists every action achieving the stage maximum;
-    the chosen action is always its smallest member.
+    unless the caller named the string, the chosen action is its smallest
+    member.
     """
 
     string: ActionString
@@ -146,11 +147,17 @@ def _cached_evaluator(objective: StringObjective) -> Callable[[ActionString], fl
     return evaluate
 
 
-def _greedy(ev: Callable[[ActionString], float], ground_size: int, horizon: int) -> GreedyTrace:
+def _greedy(
+    ev: Callable[[ActionString], float],
+    ground_size: int,
+    horizon: int,
+    chosen: Optional[ActionString] = None,
+) -> GreedyTrace:
+    # ``chosen`` replaces the smallest-index pick at every stage when given.
     string: ActionString = ()
     prefix_values: list[float] = []
     tie_sets: list[tuple[int, ...]] = []
-    for _ in range(horizon):
+    for stage in range(horizon):
         best_value: Optional[float] = None
         for action in range(ground_size):
             value = ev(string + (action,))
@@ -161,7 +168,7 @@ def _greedy(ev: Callable[[ActionString], float], ground_size: int, horizon: int)
             for action in range(ground_size)
             if ev(string + (action,)) == best_value
         )
-        string = string + (ties[0],)
+        string = string + (ties[0] if chosen is None else chosen[stage],)
         prefix_values.append(ev(string))
         tie_sets.append(ties)
     return GreedyTrace(string=string, prefix_values=tuple(prefix_values), tie_sets=tuple(tie_sets))
@@ -442,6 +449,7 @@ def greedy_guarantee_report(
     f: StringObjective,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
+    greedy: Optional[ActionString] = None,
 ) -> CurvatureReport:
     """Run the full guarantee pipeline on one objective and certify the result.
 
@@ -451,14 +459,23 @@ def greedy_guarantee_report(
     asserted against the finite-horizon bound (tolerance 1e-12); a violation
     raises :class:`GuaranteeViolationError` because the bound is proven.
 
+    ``greedy`` names the greedy string to certify, for callers whose greedy
+    strategy breaks ties its own way; the curvatures are measured along it.
+    It must pick a stage maximum at every stage, which is not checked here.
+    By default the smallest-index greedy string is certified.
+
     Every phase's budget is checked before the first evaluation; then ``f``
     is evaluated exactly once on every string of length 0..``horizon`` and
     all phases read those values.
     """
     m = f.ground_size
+    if greedy is not None and (
+        len(greedy) != horizon or not all(0 <= a < m for a in greedy)
+    ):
+        raise ValueError(f"greedy string {greedy!r} is not {horizon} actions below {m}")
     _ensure_budgets(m, horizon, budget, *_PHASE_REQUIREMENTS)
     tables = _tables(f, horizon)
-    trace = _greedy(_lookup(tables), m, horizon)
+    trace = _greedy(_lookup(tables), m, horizon, greedy)
     _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
 

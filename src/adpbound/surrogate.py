@@ -3,12 +3,14 @@
 The surrogate scores a realized state/action path by the accumulated true
 reward plus the approximator's continuation estimate at the last pair (the
 estimate vanishes at full horizon).  Averaging it over noise yields an
-objective on policy strings whose greedy solution is exactly the stage-wise
-greedy policy selection, whose path-wise greedy solution is exactly the
-forward ADP scheme, and whose full-length values and optimum coincide with
-the original control problem.  Running the string-optimization guarantee on
-that objective therefore bounds the ADP scheme against the true optimum,
-certified whenever the averaged surrogate is prefix-monotone.
+objective on policy strings whose full-length values and optimum coincide
+with the original control problem.  The forward ADP scheme is a greedy
+scheme for it: the run is built once and verified, path by path against the
+path score (Proposition 1) and stage by stage against the averaged
+surrogate (Theorem 2).  Running the string-optimization guarantee along the
+scheme's own greedy string therefore bounds the ADP scheme against the true
+optimum, whatever its tie-breaking, certified whenever the averaged
+surrogate is prefix-monotone.
 
 The scheme enters only through its W table.  The averaged surrogate averages
 realized paths (``_g_avg``); the monotonicity certificate propagates state
@@ -39,26 +41,24 @@ from .mdp import (
     bellman_solve,
     enumerate_noise_paths,
 )
-from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward, walk_noise_tree
+from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
     greedy_guarantee_report,
-    greedy_string,
 )
 
 __all__ = [
     "SurrogateObjective",
     "PolicyStringObjective",
-    "PdaoPolicy",
     "StageEvidence",
     "MonotonicityCertificate",
     "AdpBoundReport",
     "policy_ground_set",
     "g_avg_eval",
-    "pdao_construct",
-    "gps_construct",
     "induced_stage_policies",
+    "check_stagewise_selection",
+    "check_path_greedy",
     "check_pdao_gps_equivalence",
     "check_adp_pdao_identity",
     "check_surrogate_monotonicity",
@@ -172,78 +172,17 @@ def g_avg_eval(
     return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies), budget)
 
 
-@dataclass(frozen=True)
-class PdaoPolicy:
-    """Path-dependent greedy scheme materialized as a noise-history tree.
+def induced_stage_policies(run: AdpRun, model: MdpModel) -> PolicyString:
+    """Read the forward run's actions back as one stage policy per stage.
 
-    ``actions_by_history`` maps each realized noise prefix (xi_1..xi_{k-1})
-    to the stage-k action that maximizes the surrogate given the realized
-    path, min-index tie-break.  ``paths`` records the full-horizon outcomes.
+    The run follows one action table, so every path reaching a state takes
+    the same action there; states never reached at a stage get action 0,
+    which the averaged surrogate cannot see.
     """
-
-    actions_by_history: dict[tuple[int, ...], int]
-    paths: tuple[PathRecord, ...]
-    expected_value: float
-
-
-def pdao_construct(surrogate: SurrogateObjective, budget: int = DEFAULT_BUDGET) -> PdaoPolicy:
-    """Materialize the full path-dependent greedy tree for the surrogate."""
-    model = surrogate.model
-
-    def choose(states: list[int], actions: list[int]) -> int:
-        return max(
-            range(model.num_actions),
-            key=lambda action: surrogate.evaluate_path(states, actions + [action]),
-        )
-
-    records = walk_noise_tree(model, choose, budget)
-    actions_by_history: dict[tuple[int, ...], int] = {}
-    for record in records:
-        for stage, action in enumerate(record.actions):
-            actions_by_history.setdefault(record.noise[:stage], action)
-    return PdaoPolicy(
-        actions_by_history=actions_by_history,
-        paths=records,
-        expected_value=float(sum(r.probability * r.reward for r in records)),
-    )
-
-
-def gps_construct(obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET) -> PolicyString:
-    """Stage-wise greedy policy selection over the full policy ground set.
-
-    This is literally the greedy strategy of the adapter objective: stage k
-    extends the chosen prefix by the policy maximizing the averaged surrogate,
-    breaking ties toward the smallest index in the lexicographic enumeration.
-    """
-    model = obj.surrogate.model
-    ensure_budget(len(obj.ground) * model.horizon, budget, "stage-wise policy selection")
-    trace = greedy_string(obj.objective, model.horizon)
-    return obj.policies_for(trace.string)
-
-
-def induced_stage_policies(pdao: PdaoPolicy, model: MdpModel) -> PolicyString:
-    """Read the path-dependent choices back as one stage policy per stage.
-
-    The surrogate's stage score depends on the realized path only through the
-    current state, so all paths reaching a state agree on its action; states
-    never realized at a stage default to action 0, which the averaged
-    surrogate cannot see.
-    """
-    K = model.horizon
-    tables = [[0] * model.num_states for _ in range(K)]
-    seen: list[dict[int, int]] = [dict() for _ in range(K)]
-    for record in pdao.paths:
-        for stage in range(K):
-            state = record.states[stage]
-            action = record.actions[stage]
-            previous = seen[stage].get(state)
-            if previous is None:
-                seen[stage][state] = action
-                tables[stage][state] = action
-            elif previous != action:
-                raise GuaranteeViolationError(
-                    "path-dependent choices disagreed on a realized state"
-                )
+    tables = [[0] * model.num_states for _ in range(model.horizon)]
+    for record in run.paths:
+        for stage, (state, action) in enumerate(zip(record.states, record.actions)):
+            tables[stage][state] = action
     return tuple(tuple(stage) for stage in tables)
 
 
@@ -257,73 +196,85 @@ class StageEvidence:
     gap: float
 
 
-def check_pdao_gps_equivalence(
-    obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET
+def check_stagewise_selection(
+    obj: PolicyStringObjective, policies: PolicyString
 ) -> tuple[bool, tuple[StageEvidence, ...]]:
-    """Verify the path-dependent scheme attains every stage-wise selection maximum.
+    """Verify that a policy string attains every stage-wise selection maximum.
 
-    Builds the path-dependent tree, reads off its induced stage policies, and
-    checks stage by stage that, given the shared prefix, the induced policy's
-    averaged surrogate matches the maximum over the whole ground set.  Value
-    attainment is what is verified; the induced table may differ from the
-    lexicographic pick on states that are never realized.
+    Checks stage by stage that, given the shared prefix, the string's stage
+    policy attains the maximum of the averaged surrogate over the whole
+    ground set, so the string is a greedy string of the objective whatever
+    its tie-breaking.  Applied to the forward run's induced stage policies
+    this is the scheme's Theorem 2 identity.
     """
-    return _pdao_gps_equivalence(obj, pdao_construct(obj.surrogate, budget=budget))
-
-
-def _pdao_gps_equivalence(
-    obj: PolicyStringObjective, pdao: PdaoPolicy
-) -> tuple[bool, tuple[StageEvidence, ...]]:
-    model = obj.surrogate.model
-    K = model.horizon
-    induced = induced_stage_policies(pdao, model)
-    index_of = {policy: i for i, policy in enumerate(obj.ground)}
     prefix: tuple[int, ...] = ()
     evidence: list[StageEvidence] = []
     ev = obj.objective.evaluate
-    for stage in range(1, K + 1):
+    for stage, policy in enumerate(policies, start=1):
         best = -math.inf
         for candidate in range(len(obj.ground)):
             value = ev(prefix + (candidate,))
             if value > best:
                 best = value
-        mine_index = index_of[induced[stage - 1]]
-        attained = ev(prefix + (mine_index,))
+        prefix = prefix + (obj.ground.index(policy),)
+        attained = ev(prefix)
         evidence.append(
             StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
         )
-        prefix = prefix + (mine_index,)
     verified = all(item.gap <= VALUE_TOL for item in evidence)
     return verified, tuple(evidence)
+
+
+def check_path_greedy(
+    surrogate: SurrogateObjective, run: AdpRun
+) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """Verify that a forward run is path-dependent greedy selection on the surrogate.
+
+    At every node of the run's noise tree the action taken must maximize the
+    surrogate's path score over actions, compared with :func:`values_agree`:
+    the path score adds the accumulated reward to r + W, so on an exact tie
+    the two sums can round apart, and either tied action is a greedy choice.
+    Applied to the scheme's own forward run this is its Proposition 1
+    identity.  Returns the noise paths through a node where it fails.
+    """
+    model = surrogate.model
+    verdicts: dict[tuple[int, ...], bool] = {}
+
+    def greedy_at(record: PathRecord, stage: int) -> bool:
+        node = record.noise[:stage]
+        if node not in verdicts:
+            states = record.states[: stage + 1]
+            taken = list(record.actions[:stage])
+            scores = [
+                surrogate.evaluate_path(states, taken + [action])
+                for action in range(model.num_actions)
+            ]
+            verdicts[node] = values_agree(scores[record.actions[stage]], max(scores))
+        return verdicts[node]
+
+    mismatches = tuple(
+        record.noise
+        for record in run.paths
+        if not all(greedy_at(record, stage) for stage in range(model.horizon))
+    )
+    return not mismatches, mismatches
+
+
+def check_pdao_gps_equivalence(
+    obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, tuple[StageEvidence, ...]]:
+    """Run the scheme forward and check its stage policies with :func:`check_stagewise_selection`."""
+    model = obj.surrogate.model
+    run = adp_forward(model, obj.surrogate.approximator, budget=budget)
+    return check_stagewise_selection(obj, induced_stage_policies(run, model))
 
 
 def check_adp_pdao_identity(
     model: MdpModel, approximator: EvtgApproximator, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Compare the forward scheme and the path-dependent scheme path by path.
-
-    The surrogate's stage score differs from the forward rule only by terms
-    that do not depend on the chosen action, so both schemes must pick the
-    same action sequence on every noise path.  Returns the offending noise
-    paths on mismatch.
-    """
+    """Run the scheme forward and check the run with :func:`check_path_greedy`."""
     run = adp_forward(model, approximator, budget=budget)
-    pdao = pdao_construct(
-        SurrogateObjective(model=model, approximator=approximator), budget=budget
-    )
-    return _adp_pdao_identity(run, pdao)
-
-
-def _adp_pdao_identity(
-    run: AdpRun, pdao: PdaoPolicy
-) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    by_noise = {record.noise: record for record in pdao.paths}
-    mismatches = []
-    for record in run.paths:
-        other = by_noise[record.noise]
-        if record.actions != other.actions or record.states != other.states:
-            mismatches.append(record.noise)
-    return not mismatches, tuple(mismatches)
+    return check_path_greedy(SurrogateObjective(model=model, approximator=approximator), run)
 
 
 @dataclass(frozen=True)
@@ -438,10 +389,11 @@ def adp_bound_report(
 ) -> AdpBoundReport:
     """Run the whole certification pipeline for one scheme on one model.
 
-    The averaged surrogate becomes a string objective whose greedy strategy is
-    the scheme itself; its brute-force optimum is cross-checked against
-    backward induction and its greedy value against the forward run, each with
-    :func:`values_agree`.  When the
+    The forward run is built once.  Its induced stage policies are the greedy
+    string certified on the averaged surrogate, so the curvatures are
+    measured along the scheme's own trajectory; the string-objective optimum
+    is cross-checked against backward induction and the string's value
+    against the forward run, each with :func:`values_agree`.  When the
     monotonicity certificate holds, the achieved ratio is asserted against the
     finite-horizon curvature bound.  Models whose policy-string enumeration
     exceeds the budget still get exact values and the scheme checks, but the
@@ -460,14 +412,15 @@ def adp_bound_report(
     optimal_value = bellman_value
 
     obj = policy_string_objective(model, approximator, budget=budget)
-    pdao = pdao_construct(obj.surrogate, budget=budget)
-    gps_ok, _ = _pdao_gps_equivalence(obj, pdao)
-    identity_ok, _ = _adp_pdao_identity(run, pdao)
+    induced = induced_stage_policies(run, model)
+    gps_ok, _ = check_stagewise_selection(obj, induced)
+    identity_ok, _ = check_path_greedy(obj.surrogate, run)
 
     if len(ground) ** K > budget:
         flags.append("bound_not_computed")
     else:
-        curvature = greedy_guarantee_report(obj.objective, K, budget=budget)
+        greedy = tuple(ground.index(policy) for policy in induced)
+        curvature = greedy_guarantee_report(obj.objective, K, budget=budget, greedy=greedy)
         flags.extend(curvature.flags)
         optimal_value = curvature.optimal_value
         if not values_agree(optimal_value, bellman_value):

@@ -5,19 +5,25 @@
 propagating one state distribution per node.  The library computes the same
 quantities as array reductions with the same floating-point operations in the
 same order, so results must agree with ``==``, not within a tolerance.
+
+``pdao_construct`` builds the path-dependent greedy scheme of the surrogate
+as its own noise tree, picking the first maximizer of the path score at every
+node.  The library never builds it: it checks the forward run against the
+path score instead, so this tree is the independent route to that check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from adpbound.common import VALUE_TOL
 from adpbound.mdp import MarkovPolicy, MdpModel, PolicyString
-from adpbound.schemes import EvtgApproximator
-from adpbound.surrogate import policy_ground_set
+from adpbound.schemes import EvtgApproximator, PathRecord
+from adpbound.surrogate import SurrogateObjective, policy_ground_set
 
 
 def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:
@@ -104,3 +110,49 @@ def monotonicity_certificate(
     start[model.initial_state] = 1.0
     recurse((), start, [(0.0, 0.0)])
     return worst >= -VALUE_TOL, worst, witness
+
+
+@dataclass(frozen=True)
+class PdaoTree:
+    """Path-dependent greedy scheme materialized as a noise-history tree.
+
+    ``actions_by_history`` maps each realized noise prefix (xi_1..xi_{k-1})
+    to the stage-k action; ``paths`` records the full-horizon outcomes in
+    lexicographic noise order.
+    """
+
+    actions_by_history: dict[tuple[int, ...], int]
+    paths: tuple[PathRecord, ...]
+    expected_value: float
+
+
+def pdao_construct(surrogate: SurrogateObjective) -> PdaoTree:
+    """Greedy on the path score at every node of the noise tree, min-index ties."""
+    model = surrogate.model
+    K = model.horizon
+    actions_by_history: dict[tuple[int, ...], int] = {}
+    records: list[PathRecord] = []
+
+    def walk(noise: tuple[int, ...], states: list[int], actions: list[int], probability: float):
+        action = max(
+            range(model.num_actions),
+            key=lambda a: surrogate.evaluate_path(states, actions + [a]),
+        )
+        actions_by_history[noise] = action
+        actions = actions + [action]
+        if len(actions) == K:
+            reward = 0.0
+            for x, a in zip(states, actions):
+                reward += float(model.reward[x, a])
+            records.append(PathRecord(noise, probability, tuple(states), tuple(actions), reward))
+            return
+        for symbol, p in enumerate(model.noise_probs):
+            successor = int(model.transition[states[-1], action, symbol])
+            walk(noise + (symbol,), states + [successor], actions, probability * float(p))
+
+    walk((), [model.initial_state], [], 1.0)
+    return PdaoTree(
+        actions_by_history=actions_by_history,
+        paths=tuple(records),
+        expected_value=float(sum(r.probability * r.reward for r in records)),
+    )

@@ -6,9 +6,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adpbound import GeneratedInstanceSpec, generate_mdp_instances, save_model
+from adpbound import GeneratedInstanceSpec, generate_mdp_instances, random_base_policy, save_model
 from adpbound.cli import main
 from conftest import chain_model, zero_reward_model
 
@@ -193,6 +194,44 @@ class TestCheckEquivalence:
             assert code == 0, scheme
 
 
+class TestReachedTies:
+    # Generated models on which the forward scheme meets an exact tie at a
+    # stage and state it reaches: (command, sweep seed, instance index,
+    # states, actions, scheme), all with N=2 and K=4.  The stage-wise greedy
+    # string of smallest indices can break such a tie otherwise than the
+    # scheme, so the checks must follow the scheme's own run.
+    CASES = [
+        ("bound-adp", 0, 257, 2, 2, "rollout"),
+        ("bound-adp", 1, 57, 2, 3, "rollout"),
+        ("check-equivalence", 4, 112, 2, 2, "exact_evtg"),
+    ]
+
+    @pytest.mark.parametrize("command, seed, index, states, actions, scheme", CASES)
+    def test_tie_is_verified(self, tmp_path, command, seed, index, states, actions, scheme):
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=index + 1, seed=seed,
+                                     num_states=states, num_actions=actions, noise_size=2,
+                                     horizon=4)
+        model = generate_mdp_instances(spec)[index]
+        save_model(model, tmp_path / "model.json")
+        out = tmp_path / "report.json"
+        args = [command, "--model", str(tmp_path / "model.json"), "--scheme", scheme,
+                "--out", str(out)]
+        if scheme == "rollout":
+            # The base policy that the generated sweep draws for this instance.
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index, 1)))
+            )
+            base = tmp_path / "base.json"
+            base.write_text(json.dumps(random_base_policy(rng, model)))
+            args += ["--base-policy", str(base)]
+        assert main(args) == 0
+        report = read_json(out)
+        assert report["theorem2_verified"] is True
+        assert report["prop1_verified"] is True
+        if report.get("monotone_certificate"):
+            assert report["ratio"] >= report["bound_finite_K"] - 1e-12
+
+
 class TestExitCodes:
     def test_parse_error_for_corrupt_model(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -217,6 +256,8 @@ class TestExitCodes:
             ["verify-theorem1", "--generate", "coverage_submodular", "--count", "-2"],
             ["run-adp", "--model", "unused.json", "--scheme", "myopic", "--mc", "0"],
             ["solve-dp", "--model", "unused.json", "--K", "zero"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--seed", "-1"],
+            ["verify-theorem1", "--generate", "coverage_submodular", "--seed", "-1"],
         ],
     )
     def test_parse_error_for_sizes_below_one(self, args, capsys):
@@ -250,9 +291,14 @@ class TestExitCodes:
             args += ["--scheme", "myopic"]
         assert main(args) == 2
 
-    def test_parse_error_for_non_finite_theta(self, chain_file, tmp_path):
+    @pytest.mark.parametrize(
+        "table",
+        [[[2.0], [float("nan")]], [["a", 1]], [[2.0], [5.0, 1.0]]],
+        ids=["non_finite", "non_numeric", "ragged"],
+    )
+    def test_parse_error_for_bad_theta(self, chain_file, tmp_path, table):
         theta = tmp_path / "theta.json"
-        theta.write_text(json.dumps([[2.0], [float("nan")]]))
+        theta.write_text(json.dumps(table))
         assert main(["run-adp", "--model", chain_file, "--scheme", "linearq",
                      "--theta", str(theta)]) == 2
 

@@ -17,6 +17,7 @@ from adpbound import (
     STRING_KINDS,
     BudgetExceededError,
     GeneratedInstanceSpec,
+    GreedyTrace,
     StringObjective,
     UndefinedCurvatureError,
     check_diminishing_return,
@@ -101,6 +102,49 @@ def test_tables_match_loop_reference(kind, ground, horizon, seed):
         assert report.sigma == sigma[0]
         skipped += sigma[1]
     assert report.skipped_terms == skipped
+
+
+@given(
+    kind=st.sampled_from(STRING_KINDS),
+    ground=st.integers(2, 4),
+    horizon=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_named_greedy_string_is_certified_along_itself(kind, ground, horizon, seed):
+    # Greedy with largest-index tie-breaking: another greedy string wherever
+    # a stage ties, which the monotone-marginal kind does often.
+    f = _objective(kind, ground, horizon, seed)
+    string = ()
+    for _ in range(horizon):
+        values = [f.evaluate(string + (a,)) for a in range(ground)]
+        string += (max(a for a in range(ground) if values[a] == max(values)),)
+    trace = GreedyTrace(
+        string=string,
+        prefix_values=tuple(f.evaluate(string[: i + 1]) for i in range(horizon)),
+        tie_sets=(),
+    )
+    report = greedy_guarantee_report(f, horizon, greedy=string)
+    assert report.greedy_value == trace.prefix_values[-1]
+    eta = _outcome(reference.eta, f, trace, horizon)
+    sigma = _outcome(reference.sigma, f, trace, horizon, DENOM_TOL)
+    if eta == "undefined":
+        assert "eta_undefined" in report.flags
+    else:
+        assert report.eta == eta[0]
+    if sigma == "undefined":
+        assert "sigma_undefined" in report.flags
+    else:
+        assert report.sigma == sigma[0]
+    if string == greedy_string(f, horizon).string:
+        assert report == greedy_guarantee_report(f, horizon)
+
+
+@pytest.mark.parametrize("string", [(0, 1), (0, 1, 2, 0), (0, 3, 1)])
+def test_named_greedy_string_must_fit_the_objective(string):
+    f = _objective("random_monotone_marginals", 3, 3, 0)
+    with pytest.raises(ValueError):
+        greedy_guarantee_report(f, 3, greedy=string)
 
 
 def test_witnesses_match_loop_reference():

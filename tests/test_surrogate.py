@@ -13,10 +13,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import adpbound.surrogate
+import adpbound.schemes
 import surrogate_reference as reference
 from adpbound import (
     EvtgApproximator,
@@ -24,29 +24,31 @@ from adpbound import (
     MdpModel,
     SurrogateObjective,
     adp_bound_report,
+    adp_forward,
     bellman_solve,
     bound_report_to_dict,
     check_adp_pdao_identity,
+    check_path_greedy,
     check_pdao_gps_equivalence,
     check_prefix_monotone,
+    check_stagewise_selection,
     check_surrogate_monotonicity,
     evaluate_policy_exact,
     exact_evtg_w,
     g_avg_eval,
     generate_mdp_instances,
-    gps_construct,
     greedy_string,
     induced_stage_policies,
     instance_rng,
     make_scheme,
     myopic_w,
-    pdao_construct,
     policy_ground_set,
     policy_string_objective,
     random_base_policy,
     rollout_w,
     scheme_policy,
 )
+from adpbound.cli import main
 from adpbound.common import values_agree
 from conftest import schemes_for, zero_reward_model
 
@@ -118,52 +120,63 @@ class TestAveragedSurrogate:
 
 
 class TestPdao:
+    """The reference path-dependent tree, and the forward run that matches it."""
+
     def test_chain_myopic_tree(self, m_chain):
         s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
-        pdao = pdao_construct(s)
+        pdao = reference.pdao_construct(s)
         assert pdao.paths[0].actions == (0, 0)
         assert pdao.expected_value == 2.0
+        assert adp_forward(m_chain, myopic_w(m_chain)).paths == pdao.paths
 
     def test_chain_rollout_breaks_tie_low(self, m_chain):
         s = SurrogateObjective(model=m_chain, approximator=stay_rollout(m_chain))
-        pdao = pdao_construct(s)
+        pdao = reference.pdao_construct(s)
         # Stage 1 compares 2 against 5; stage 2 ties at 5 and picks action 0.
         assert pdao.paths[0].actions == (1, 0)
         assert pdao.expected_value == 5.0
+        assert adp_forward(m_chain, stay_rollout(m_chain)).paths == pdao.paths
 
     def test_noisy_tree_has_one_branch_per_symbol(self, m_noise):
         s = SurrogateObjective(model=m_noise, approximator=myopic_w(m_noise))
-        pdao = pdao_construct(s)
+        pdao = reference.pdao_construct(s)
         assert set(pdao.actions_by_history) == {(), (0,), (1,)}
         for record in pdao.paths:
             assert record.actions == (0, 0)
 
     def test_noisy_rollout_acts_per_realized_state(self, m_noise):
         s = SurrogateObjective(model=m_noise, approximator=stay_rollout(m_noise))
-        pdao = pdao_construct(s)
+        pdao = reference.pdao_construct(s)
         by_noise = {record.noise: record for record in pdao.paths}
         assert by_noise[(0,)].states == (0, 1) and by_noise[(0,)].reward == 5.0
         assert by_noise[(1,)].states == (0, 0) and by_noise[(1,)].reward == 1.0
         assert pdao.expected_value == 3.0
-        assert induced_stage_policies(pdao, m_noise) == (P2, P0)
+        run = adp_forward(m_noise, stay_rollout(m_noise))
+        assert run.paths == pdao.paths
+        assert induced_stage_policies(run, m_noise) == (P2, P0)
+
+
+def greedy_policies(obj):
+    """The smallest-index greedy string of the averaged surrogate, as stage policies."""
+    return obj.policies_for(greedy_string(obj.objective, obj.surrogate.model.horizon).string)
 
 
 class TestGps:
     def test_chain_myopic_first_stage(self, m_chain):
         obj = policy_string_objective(m_chain, myopic_w(m_chain))
-        gps = gps_construct(obj)
-        assert gps[0][0] == 0
+        assert greedy_policies(obj)[0][0] == 0
 
     def test_exact_scheme_recovers_optimum(self, m_chain):
         obj = policy_string_objective(m_chain, exact_evtg_w(m_chain))
-        gps = gps_construct(obj)
-        assert g_avg_eval(obj, gps) == 5.0
+        assert g_avg_eval(obj, greedy_policies(obj)) == 5.0
 
     def test_definitional_identity_with_greedy(self, m_noise):
+        # Without a tie at a reached state, the forward run's stage policies
+        # are the smallest-index greedy string: unreached states get action 0.
         for scheme in (myopic_w(m_noise), stay_rollout(m_noise)):
             obj = policy_string_objective(m_noise, scheme)
-            trace = greedy_string(obj.objective, m_noise.horizon)
-            assert gps_construct(obj) == obj.policies_for(trace.string)
+            run = adp_forward(m_noise, scheme)
+            assert induced_stage_policies(run, m_noise) == greedy_policies(obj)
 
 
 class TestSchemeEquivalences:
@@ -184,6 +197,30 @@ class TestSchemeEquivalences:
         ]:
             ok, mismatches = check_adp_pdao_identity(model, scheme)
             assert ok and mismatches == ()
+
+    def test_stagewise_check_rejects_a_non_greedy_string(self, m_chain):
+        # Stage 1 of the myopic surrogate is worth 1 for staying, 0 for leaving.
+        obj = policy_string_objective(m_chain, myopic_w(m_chain))
+        verified, evidence = check_stagewise_selection(obj, (P2, P0))
+        assert not verified
+        assert evidence[0].gap == 1.0
+
+    def test_path_check_flags_what_the_reference_tree_rejects(self, mdp_sweep):
+        # Check the myopic run against each scheme's surrogate: a path must be
+        # flagged exactly where the reference tree of that surrogate acts
+        # otherwise (the models are real-valued, so ties at reached states
+        # have probability zero).
+        flagged = 0
+        for index, model in enumerate(mdp_sweep[:10]):
+            run = adp_forward(model, myopic_w(model))
+            for name, scheme in schemes_for(model, index).items():
+                surrogate = SurrogateObjective(model=model, approximator=scheme)
+                tree = {r.noise: r.actions for r in reference.pdao_construct(surrogate).paths}
+                expected = tuple(r.noise for r in run.paths if r.actions != tree[r.noise])
+                ok, mismatches = check_path_greedy(surrogate, run)
+                assert mismatches == expected and ok == (not expected), (index, name)
+                flagged += len(mismatches)
+        assert flagged > 0
 
 
 class TestMonotonicityCertificate:
@@ -306,18 +343,25 @@ class TestBoundReport:
                 if report.monotone_certificate:
                     assert report.ratio >= report.curvature.bound_finite_K - 1e-12
 
-    def test_forward_run_and_tree_built_once(self, m_noise, monkeypatch):
-        calls = {"adp_forward": 0, "pdao_construct": 0}
-        for name in calls:
+    def test_forward_run_and_tree_built_once(self, m_noise, monkeypatch, tmp_path):
+        # One walk of the noise tree per bound report and per model of a
+        # check-equivalence sweep: both identities are checked on that run.
+        walks = []
+        original = adpbound.schemes.walk_noise_tree
 
-            def counted(*args, _name=name, _original=getattr(adpbound.surrogate, name), **kw):
-                calls[_name] += 1
-                return _original(*args, **kw)
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(adpbound.surrogate, name, counted)
+        monkeypatch.setattr(adpbound.schemes, "walk_noise_tree", counted)
         report = adp_bound_report(m_noise, stay_rollout(m_noise))
-        assert calls == {"adp_forward": 1, "pdao_construct": 1}
+        assert len(walks) == 1
         assert report.pdao_matches_gps and report.adp_matches_pdao
+
+        walks.clear()
+        assert main(["check-equivalence", "--generate", "random_mdp", "--count", "3",
+                     "--seed", "2", "--scheme", "rollout", "--out", str(tmp_path)]) == 0
+        assert len(walks) == 3
 
     @pytest.mark.parametrize("scale", [1e4, 1e6, 2.0**20])
     @pytest.mark.parametrize("scheme", ["myopic", "rollout", "exact_evtg"])
@@ -347,17 +391,19 @@ def test_values_agree_is_absolute_up_to_one_and_relative_above():
 
 
 @st.composite
-def models_with_w_tables(draw):
+def models_with_w_tables(draw, max_strings=4096, denominator=1):
     """Random models and W tables of small integers, so exact ties are common.
 
-    Negative W entries make certificates fail.  K is capped so that the loop
-    reference visits at most 4096 full-length policy strings.
+    Negative W entries make certificates fail.  K is capped so that there are
+    at most ``max_strings`` full-length policy strings.  Rewards and W are
+    divided by ``denominator``; with 3, values tied in exact arithmetic can
+    round apart when added in another order.
     """
     S = draw(st.integers(1, 3))
     A = draw(st.integers(1, 3))
     N = draw(st.integers(1, 3))
     P = A**S
-    K = draw(st.integers(1, max(k for k in range(1, 5) if P**k <= 4096)))
+    K = draw(st.integers(1, max(k for k in range(1, 5) if P**k <= max_strings)))
     weights = np.array(draw(st.lists(st.integers(1, 4), min_size=N, max_size=N)), dtype=float)
     transition = draw(st.lists(st.integers(0, S - 1), min_size=S * A * N, max_size=S * A * N))
     reward = draw(st.lists(st.integers(0, 3), min_size=S * A, max_size=S * A))
@@ -368,13 +414,13 @@ def models_with_w_tables(draw):
         initial_state=draw(st.integers(0, S - 1)),
         noise_probs=weights / weights.sum(),
         transition=np.reshape(transition, (S, A, N)),
-        reward=np.reshape(reward, (S, A)),
+        reward=np.reshape(reward, (S, A)) / denominator,
     )
     cells = (K - 1) * S * A
     table = np.zeros((K, S, A))
     table[:-1] = np.reshape(
         draw(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells)), (K - 1, S, A)
-    )
+    ) / denominator
     return model, EvtgApproximator(table)
 
 
@@ -387,3 +433,50 @@ def test_tables_match_loop_reference(case):
         model, w
     )
     assert scheme_policy(model, w) == reference.scheme_policy(model, w)
+
+
+def relabel_states(model, w, perm):
+    """The same model and W table with every state ``x`` renamed ``perm[x]``."""
+    perm = np.asarray(perm)
+    old = np.argsort(perm)  # old[y] is the state renamed y
+    relabelled = dataclasses.replace(
+        model,
+        initial_state=int(perm[model.initial_state]),
+        transition=perm[model.transition][old],
+        reward=model.reward[old],
+    )
+    return relabelled, EvtgApproximator(w.table[:, old])
+
+
+def with_relabelling(case):
+    model, w = case
+    return st.permutations(range(model.num_states)).map(lambda perm: (model, w, perm))
+
+
+# One state, stage 2: both actions score 1/3 + 1 = 1 + 1/3 under r + W, so the
+# scheme takes action 0; after the stage-1 reward 1 the path scores round to
+# 2.333...33 for action 0 and 2.333...35 for action 1, so the averaged
+# surrogate's greedy string takes action 1 and is worth 3, the scheme 7/3.
+ROUNDED_TIE = (
+    MdpModel(num_states=1, num_actions=2, horizon=3, initial_state=0,
+             noise_probs=[0.5, 0.5], transition=[[[0, 0], [0, 0]]], reward=[[1 / 3, 1.0]]),
+    EvtgApproximator([[[0.0, 0.0]], [[1.0, 1 / 3]], [[0.0, 0.0]]]),
+    [0],
+)
+
+
+@given(case=models_with_w_tables(max_strings=256, denominator=3).flatmap(with_relabelling))
+@example(case=ROUNDED_TIE)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_relabelling_states_leaves_the_report_unchanged(case):
+    # Relabelling reorders the policy ground set, so smallest-index
+    # tie-breaking over policies meets reached ties in another order; the
+    # report follows the scheme's own run and must not notice.
+    model, w, perm = case
+    before = adp_bound_report(model, w)
+    after = adp_bound_report(*relabel_states(model, w, perm))
+    assert values_agree(after.optimal_value, before.optimal_value)
+    assert values_agree(after.adp_value, before.adp_value)
+    assert values_agree(after.ratio, before.ratio)
+    for report in (before, after):
+        assert report.pdao_matches_gps and report.adp_matches_pdao
