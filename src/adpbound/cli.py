@@ -47,6 +47,7 @@ from .stringopt import greedy_guarantee_report
 from .surrogate import (
     adp_bound_report,
     bound_report_to_dict,
+    budget_preflight,
     check_path_greedy,
     check_stagewise_selection,
     curvature_report_to_dict,
@@ -80,7 +81,7 @@ def positive_int(text: str) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """Argparse type for seeds, which numpy's ``SeedSequence`` needs nonnegative."""
+    """Argparse type for seeds (numpy's ``SeedSequence`` needs them nonnegative) and budgets."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -88,8 +89,9 @@ def nonnegative_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="maximum leaf evaluations per exhaustive enumeration")
+    parser.add_argument("--budget", type=nonnegative_int, default=DEFAULT_BUDGET,
+                        help="most strings or noise paths one exhaustive enumeration may "
+                             "evaluate; counts, not time")
     parser.add_argument("--seed", type=nonnegative_int, default=0,
                         help="root seed for all randomness")
     parser.add_argument("--out", type=str, default=None,
@@ -377,7 +379,8 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
     def worker(index: int) -> dict:
         model = models[index]
         scheme = _scheme_for(model, args, index=index)
-        obj = policy_string_objective(model, scheme, budget=args.budget)
+        budget_preflight(model, args.budget)
+        obj = policy_string_objective(model, scheme)
         run = adp_forward(model, scheme, budget=args.budget)
         gps_ok, evidence = check_stagewise_selection(obj, induced_stage_policies(run, model))
         identity_ok, mismatches = check_path_greedy(obj.surrogate, run)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-# Leaf evaluations allowed per exhaustive enumeration before an operation bails out.
+# Strings, or noise paths, one exhaustive enumeration may evaluate.  Each
+# operation counts its enumerations from the problem sizes before any work.
 DEFAULT_BUDGET = 1_000_000
 
 # Comparison tolerance for certified numeric checks.
@@ -39,6 +40,13 @@ class ModelFormatError(ValueError):
 def ensure_budget(required: int, budget: int, what: str) -> None:
     if required > budget:
         raise BudgetExceededError(required, budget, what)
+
+
+def strings_up_to(ground_size: int, horizon: int) -> int:
+    """The number of strings of length 0..``horizon`` over ``ground_size`` actions."""
+    if ground_size == 1:
+        return horizon + 1
+    return (ground_size ** (horizon + 1) - 1) // (ground_size - 1)
 
 
 def values_agree(a: float, b: float) -> bool:

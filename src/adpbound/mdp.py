@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import DEFAULT_BUDGET, ModelFormatError, ensure_budget
+from .common import ModelFormatError
 from .reporting import write_text_atomic
 
 MarkovPolicy = tuple[int, ...]
@@ -165,14 +165,10 @@ def validate_policy_string(model: MdpModel, policy: PolicyString) -> None:
                 raise ValueError("policy action out of range")
 
 
-def enumerate_noise_paths(
-    model: MdpModel, length: int, budget: int = DEFAULT_BUDGET
-) -> list[NoisePath]:
+def enumerate_noise_paths(model: MdpModel, length: int) -> list[NoisePath]:
     """All noise sequences of the given length, lexicographically ordered."""
     if length < 0:
         raise ValueError("path length must be nonnegative")
-    required = model.noise_size**length
-    ensure_budget(required, budget, "noise-path enumeration")
     probs = [float(p) for p in model.noise_probs]
     paths = []
     for symbols in itertools.product(range(model.noise_size), repeat=length):

@@ -163,16 +163,13 @@ def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyStri
     return tuple(tuple(int(a) for a in stage) for stage in choice)
 
 
-def walk_noise_tree(
-    model: MdpModel, policy: PolicyString, budget: int = DEFAULT_BUDGET
-) -> tuple[PathRecord, ...]:
+def walk_noise_tree(model: MdpModel, policy: PolicyString) -> tuple[PathRecord, ...]:
     """Follow a policy string down every branch of the noise tree.
 
     ``policy[k][x]`` is the action at state ``x`` of stage ``k + 1``.  Returns
     one record per full noise path, in lexicographic noise order.
     """
     K = model.horizon
-    ensure_budget(model.noise_size ** (K - 1), budget, "noise-path enumeration")
     probs = [float(p) for p in model.noise_probs]
     records: list[PathRecord] = []
 
@@ -205,7 +202,9 @@ def adp_forward(model: MdpModel, approximator: EvtgApproximator, budget: int = D
 
     On each path the realized state advances through the model's transition
     law under the scheme's actions; the run records all paths and the exact
-    probability-weighted expected cumulative true reward.
+    probability-weighted expected cumulative true reward.  The N^(K-1) noise
+    paths are checked against the budget before the walk.
     """
-    records = walk_noise_tree(model, scheme_policy(model, approximator), budget)
+    ensure_budget(model.noise_size ** (model.horizon - 1), budget, "noise-path enumeration")
+    records = walk_noise_tree(model, scheme_policy(model, approximator))
     return AdpRun(paths=records, expected_value=float(sum(r.probability * r.reward for r in records)))

@@ -8,12 +8,14 @@ greedy trajectory, and the closed-form lower bound on the greedy/optimal value
 ratio that those curvatures certify.
 
 Everything here is exhaustive and deterministic: argmax ties break toward the
-smallest action index, enumerations run in lexicographic order, and budget
-guards refuse enumerations larger than the configured number of evaluations.
+smallest action index and enumerations run in lexicographic order.
 
 The enumerations evaluate the objective once per string into value tables,
 one numpy array of shape ``(m,) * n`` per string length ``n``, and compute
 each quantity as elementwise expressions and reductions over those tables.
+The budget counts those evaluations and is checked before the first one:
+a function that tabulates lengths 0..K needs sum_{n<=K} m^n, one that reads
+length K only (the brute-force optimum and the total curvature) needs m^K.
 Only :func:`greedy_string` walks the objective directly, since it needs just
 O(m * K) evaluations.
 """
@@ -35,6 +37,7 @@ from .common import (
     GuaranteeViolationError,
     UndefinedCurvatureError,
     ensure_budget,
+    strings_up_to,
 )
 
 ActionString = tuple[int, ...]
@@ -188,38 +191,23 @@ def greedy_string(f: StringObjective, horizon: int) -> GreedyTrace:
     return _greedy(_cached_evaluator(f), f.ground_size, horizon)
 
 
-# Evaluations each exhaustive phase is charged against the budget, in the
-# order the guarantee report runs the phases.
-_PHASE_REQUIREMENTS: dict[str, Callable[[int, int], int]] = {
-    "brute-force string search": lambda m, K: m**K,
-    "prefix-monotonicity check": lambda m, K: sum((n + 1) * m**n for n in range(1, K + 1)),
-    "diminishing-return check": lambda m, K: sum((n + 1) * m**n * m for n in range(K)),
-    "total-curvature enumeration": lambda m, K: (K - 1) * m**K,
-    "forward-curvature enumeration": lambda m, K: sum(
-        m ** (j - i) for i in range(K) for j in range(i + 1, K + 1)
-    ),
-}
-
-
-def _ensure_budgets(ground_size: int, horizon: int, budget: int, *phases: str) -> None:
-    for phase in phases:
-        ensure_budget(_PHASE_REQUIREMENTS[phase](ground_size, horizon), budget, phase)
-
-
-def _level(f: StringObjective, length: int) -> np.ndarray:
+def _level(f: StringObjective, length: int, budget: int) -> np.ndarray:
     """``f`` on every string of ``length``, evaluated in lexicographic order.
 
     The result has shape ``(m,) * length``: entry ``s`` holds f(s).
     """
     m = f.ground_size
+    count = m**length
+    ensure_budget(count, budget, "string tabulation")
     strings = itertools.product(range(m), repeat=length)
-    values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=m**length)
+    values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=count)
     return values.reshape((m,) * length)
 
 
-def _tables(f: StringObjective, horizon: int) -> list[np.ndarray]:
+def _tables(f: StringObjective, horizon: int, budget: int) -> list[np.ndarray]:
     """Value tables of every length 0..horizon; each string is evaluated once."""
-    return [_level(f, length) for length in range(horizon + 1)]
+    ensure_budget(strings_up_to(f.ground_size, horizon), budget, "string tabulation")
+    return [_level(f, length, budget) for length in range(horizon + 1)]
 
 
 def _lookup(tables: list[np.ndarray]) -> Callable[[ActionString], float]:
@@ -265,8 +253,7 @@ def optimal_string_bruteforce(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    _ensure_budgets(f.ground_size, horizon, budget, "brute-force string search")
-    return _bruteforce(_level(f, horizon))
+    return _bruteforce(_level(f, horizon, budget))
 
 
 def _prefix_monotone(
@@ -299,8 +286,7 @@ def check_prefix_monotone(
     first witness pair on failure, ordered by string length, then string,
     then prefix length.
     """
-    _ensure_budgets(f.ground_size, horizon, budget, "prefix-monotonicity check")
-    return _prefix_monotone(_tables(f, horizon))
+    return _prefix_monotone(_tables(f, horizon, budget))
 
 
 def _diminishing_return(
@@ -333,8 +319,7 @@ def check_diminishing_return(
     requires gain of a at M >= gain of a at N.  Returns a witness (M, N, a)
     on failure, the first by length of N, then N, then length of M, then a.
     """
-    _ensure_budgets(f.ground_size, horizon, budget, "diminishing-return check")
-    return _diminishing_return(_tables(f, horizon))
+    return _diminishing_return(_tables(f, horizon, budget))
 
 
 def _eta(full: np.ndarray, trace: GreedyTrace, horizon: int) -> tuple[float, int]:
@@ -372,8 +357,7 @@ def total_curvature_eta(
     whose greedy prefix value is not strictly positive are skipped and
     counted; if nothing survives the curvature is undefined.
     """
-    _ensure_budgets(f.ground_size, horizon, budget, "total-curvature enumeration")
-    return _eta(_level(f, horizon), greedy, horizon)
+    return _eta(_level(f, horizon, budget), greedy, horizon)
 
 
 def _sigma(tables: list[np.ndarray], trace: GreedyTrace, horizon: int) -> tuple[float, int]:
@@ -409,9 +393,8 @@ def forward_curvature_sigma(
     block's final marginal gain.  Terms whose denominator is at most
     ``DENOM_TOL`` are skipped and counted.
     """
-    _ensure_budgets(f.ground_size, horizon, budget, "forward-curvature enumeration")
     # The subtree under the empty greedy prefix is every string up to the horizon.
-    return _sigma(_tables(f, horizon), greedy, horizon)
+    return _sigma(_tables(f, horizon, budget), greedy, horizon)
 
 
 def curvature_bound(eta: float, sigma: float, horizon: int) -> float:
@@ -464,17 +447,16 @@ def greedy_guarantee_report(
     It must pick a stage maximum at every stage, which is not checked here.
     By default the smallest-index greedy string is certified.
 
-    Every phase's budget is checked before the first evaluation; then ``f``
-    is evaluated exactly once on every string of length 0..``horizon`` and
-    all phases read those values.
+    ``f`` is evaluated exactly once on every string of length 0..``horizon``,
+    sum_{n<=horizon} m^n strings, and all phases read those values; that count
+    is checked against the budget before the first evaluation.
     """
     m = f.ground_size
     if greedy is not None and (
         len(greedy) != horizon or not all(0 <= a < m for a in greedy)
     ):
         raise ValueError(f"greedy string {greedy!r} is not {horizon} actions below {m}")
-    _ensure_budgets(m, horizon, budget, *_PHASE_REQUIREMENTS)
-    tables = _tables(f, horizon)
+    tables = _tables(f, horizon, budget)
     trace = _greedy(_lookup(tables), m, horizon, greedy)
     _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
@@ -556,17 +538,8 @@ def greedy_recursion_checks(
     the guarantee itself holds, so a violation points at an implementation
     bug rather than at the instance.
     """
-    m = f.ground_size
-    _ensure_budgets(
-        m,
-        horizon,
-        budget,
-        "brute-force string search",
-        "total-curvature enumeration",
-        "forward-curvature enumeration",
-    )
-    tables = _tables(f, horizon)
-    trace = _greedy(_lookup(tables), m, horizon)
+    tables = _tables(f, horizon, budget)
+    trace = _greedy(_lookup(tables), f.ground_size, horizon)
     _, optimal_value = _bruteforce(tables[horizon])
     eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
     sigma, _ = _sigma(tables, trace, horizon)

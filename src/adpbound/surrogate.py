@@ -32,6 +32,7 @@ from .common import (
     VALUE_TOL,
     GuaranteeViolationError,
     ensure_budget,
+    strings_up_to,
     values_agree,
 )
 from .mdp import (
@@ -54,6 +55,7 @@ __all__ = [
     "StageEvidence",
     "MonotonicityCertificate",
     "AdpBoundReport",
+    "budget_preflight",
     "policy_ground_set",
     "g_avg_eval",
     "induced_stage_policies",
@@ -100,13 +102,13 @@ def policy_ground_set(model: MdpModel) -> tuple[MarkovPolicy, ...]:
     return tuple(itertools.product(range(model.num_actions), repeat=model.num_states))
 
 
-def _g_avg(surrogate: SurrogateObjective, policies: PolicyString, budget: int) -> float:
+def _g_avg(surrogate: SurrogateObjective, policies: PolicyString) -> float:
     k = len(policies)
     if k == 0:
         return 0.0
     model = surrogate.model
     total = 0.0
-    for path in enumerate_noise_paths(model, k - 1, budget=budget):
+    for path in enumerate_noise_paths(model, k - 1):
         state = model.initial_state
         states = [state]
         actions = []
@@ -137,9 +139,7 @@ class PolicyStringObjective:
         return tuple(self.ground[i] for i in indices)
 
 
-def policy_string_objective(
-    model: MdpModel, approximator: EvtgApproximator, budget: int = DEFAULT_BUDGET
-) -> PolicyStringObjective:
+def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> PolicyStringObjective:
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
     ground = policy_ground_set(model)
     surrogate = SurrogateObjective(model=model, approximator=approximator)
@@ -149,7 +149,7 @@ def policy_string_objective(
         indices = tuple(indices)
         value = memo.get(indices)
         if value is None:
-            value = _g_avg(surrogate, tuple(ground[i] for i in indices), budget)
+            value = _g_avg(surrogate, tuple(ground[i] for i in indices))
             memo[indices] = value
         return value
 
@@ -159,9 +159,7 @@ def policy_string_objective(
     return PolicyStringObjective(surrogate=surrogate, ground=ground, objective=objective)
 
 
-def g_avg_eval(
-    obj: PolicyStringObjective, policies: PolicyString, budget: int = DEFAULT_BUDGET
-) -> float:
+def g_avg_eval(obj: PolicyStringObjective, policies: PolicyString) -> float:
     """Exact noise expectation of the surrogate along a policy string.
 
     At full length this equals the exact policy value of the same string; the
@@ -169,7 +167,7 @@ def g_avg_eval(
     """
     if len(policies) > obj.surrogate.model.horizon:
         raise ValueError("policy string longer than the horizon")
-    return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies), budget)
+    return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies))
 
 
 def induced_stage_policies(run: AdpRun, model: MdpModel) -> PolicyString:
@@ -260,20 +258,18 @@ def check_path_greedy(
     return not mismatches, mismatches
 
 
-def check_pdao_gps_equivalence(
-    obj: PolicyStringObjective, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, tuple[StageEvidence, ...]]:
+def check_pdao_gps_equivalence(obj: PolicyStringObjective) -> tuple[bool, tuple[StageEvidence, ...]]:
     """Run the scheme forward and check its stage policies with :func:`check_stagewise_selection`."""
     model = obj.surrogate.model
-    run = adp_forward(model, obj.surrogate.approximator, budget=budget)
+    run = adp_forward(model, obj.surrogate.approximator)
     return check_stagewise_selection(obj, induced_stage_policies(run, model))
 
 
 def check_adp_pdao_identity(
-    model: MdpModel, approximator: EvtgApproximator, budget: int = DEFAULT_BUDGET
+    model: MdpModel, approximator: EvtgApproximator
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Run the scheme forward and check the run with :func:`check_path_greedy`."""
-    run = adp_forward(model, approximator, budget=budget)
+    run = adp_forward(model, approximator)
     return check_path_greedy(SurrogateObjective(model=model, approximator=approximator), run)
 
 
@@ -287,9 +283,7 @@ class MonotonicityCertificate:
 
 
 def check_surrogate_monotonicity(
-    model: MdpModel,
-    approximator: EvtgApproximator,
-    budget: int = DEFAULT_BUDGET,
+    model: MdpModel, approximator: EvtgApproximator
 ) -> MonotonicityCertificate:
     """Exhaustively test the reward-versus-continuation monotonicity condition.
 
@@ -312,7 +306,6 @@ def check_surrogate_monotonicity(
     P = len(ground)
     K = model.horizon
     S = model.num_states
-    ensure_budget(sum(P**n for n in range(1, K + 1)), budget, "monotonicity-condition enumeration")
 
     # actions[j, x] is the action of stage policy j at state x.
     actions = np.array(ground, dtype=np.int64).reshape(P, S)
@@ -382,6 +375,23 @@ class AdpBoundReport:
     flags: tuple[str, ...]
 
 
+def budget_preflight(model: MdpModel, budget: int) -> bool:
+    """Check a model's enumerations against the budget, from its sizes alone.
+
+    The forward run walks N^(K-1) noise paths and the Theorem 2 check
+    evaluates K * A^S policy strings; either count over the budget raises
+    :class:`BudgetExceededError`.  Returns whether the bound fits as well: its
+    tables hold every policy string of length 0..K, sum_{n<=K} (A^S)^n, which
+    also covers the monotonicity certificate.  Nothing is built, so callers
+    run this before any work that grows with the model.
+    """
+    K = model.horizon
+    P = model.num_actions**model.num_states
+    ensure_budget(model.noise_size ** (K - 1), budget, "noise-path enumeration")
+    ensure_budget(K * P, budget, "stage-wise selection check")
+    return strings_up_to(P, K) <= budget
+
+
 def adp_bound_report(
     model: MdpModel,
     approximator: EvtgApproximator,
@@ -389,16 +399,18 @@ def adp_bound_report(
 ) -> AdpBoundReport:
     """Run the whole certification pipeline for one scheme on one model.
 
-    The forward run is built once.  Its induced stage policies are the greedy
+    :func:`budget_preflight` runs first, so a budget failure comes before any
+    work.  The forward run is built once.  Its induced stage policies are the greedy
     string certified on the averaged surrogate, so the curvatures are
     measured along the scheme's own trajectory; the string-objective optimum
     is cross-checked against backward induction and the string's value
     against the forward run, each with :func:`values_agree`.  When the
     monotonicity certificate holds, the achieved ratio is asserted against the
-    finite-horizon curvature bound.  Models whose policy-string enumeration
-    exceeds the budget still get exact values and the scheme checks, but the
-    bound is flagged as not computed.
+    finite-horizon curvature bound.  Models whose policy strings of length
+    0..K exceed the budget still get exact values and the scheme checks, but
+    the bound is flagged as not computed.
     """
+    bound_fits = budget_preflight(model, budget)
     flags: list[str] = []
     K = model.horizon
     _, tables = bellman_solve(model)
@@ -406,20 +418,19 @@ def adp_bound_report(
     run = adp_forward(model, approximator, budget=budget)
     adp_value = run.expected_value
 
-    ground = policy_ground_set(model)
     curvature: Optional[CurvatureReport] = None
     certificate = MonotonicityCertificate(holds=False, worst_slack=math.nan, witness=None)
     optimal_value = bellman_value
 
-    obj = policy_string_objective(model, approximator, budget=budget)
+    obj = policy_string_objective(model, approximator)
     induced = induced_stage_policies(run, model)
     gps_ok, _ = check_stagewise_selection(obj, induced)
     identity_ok, _ = check_path_greedy(obj.surrogate, run)
 
-    if len(ground) ** K > budget:
+    if not bound_fits:
         flags.append("bound_not_computed")
     else:
-        greedy = tuple(ground.index(policy) for policy in induced)
+        greedy = tuple(obj.ground.index(policy) for policy in induced)
         curvature = greedy_guarantee_report(obj.objective, K, budget=budget, greedy=greedy)
         flags.extend(curvature.flags)
         optimal_value = curvature.optimal_value
@@ -433,7 +444,7 @@ def adp_bound_report(
                 f"stage-wise greedy value {curvature.greedy_value!r} disagrees with "
                 f"the forward run {adp_value!r}"
             )
-        certificate = check_surrogate_monotonicity(model, approximator, budget=budget)
+        certificate = check_surrogate_monotonicity(model, approximator)
 
     if optimal_value == 0.0 and adp_value == 0.0:
         ratio = 1.0

@@ -10,6 +10,7 @@ exhaustive oracles exercised here.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from adpbound import (
     GeneratedInstanceSpec,
@@ -24,6 +25,10 @@ from adpbound import (
     random_base_policy,
     random_theta,
 )
+
+# Property tests seed from their own source (derandomize) and have no time limit.
+settings.register_profile("adpbound", deadline=None, derandomize=True)
+settings.load_profile("adpbound")
 
 STAY, GO = 0, 1
 

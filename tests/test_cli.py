@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adpbound import GeneratedInstanceSpec, generate_mdp_instances, random_base_policy, save_model
+import adpbound.surrogate
+from adpbound import (
+    GeneratedInstanceSpec,
+    bellman_solve,
+    generate_mdp_instances,
+    random_base_policy,
+    save_model,
+)
 from adpbound.cli import main
 from conftest import chain_model, zero_reward_model
 
@@ -258,6 +265,7 @@ class TestExitCodes:
             ["solve-dp", "--model", "unused.json", "--K", "zero"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--seed", "-1"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--seed", "-1"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--budget", "-1"],
         ],
     )
     def test_parse_error_for_sizes_below_one(self, args, capsys):
@@ -328,6 +336,61 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestBudget:
+    """The budget counts the strings and noise paths an operation evaluates."""
+
+    def test_bound_adp_outcome_is_monotone_in_the_budget(self, tmp_path):
+        # 4 stage policies, K = 3: the forward run walks 2^2 = 4 noise paths,
+        # the Theorem 2 check evaluates 3 * 4 = 12 strings and the bound
+        # tabulates 1 + 4 + 16 + 64 = 85.
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=1, seed=0, num_states=2,
+                                     num_actions=2, noise_size=2, horizon=3)
+        model = generate_mdp_instances(spec)[0]
+        _, tables = bellman_solve(model)
+        optimum = float(tables.V[0, model.initial_state])
+        for budget in [*range(90), 311, 312]:
+            out = tmp_path / str(budget)
+            code = main(["bound-adp", "--generate", "random_mdp", "--states", "2",
+                         "--actions", "2", "--noise", "2", "--K", "3", "--scheme", "myopic",
+                         "--budget", str(budget), "--out", str(out)])
+            if budget < 12:
+                assert code == 3, budget
+                continue
+            assert code == 0, budget
+            report = read_json(out / "instance_0000.json")
+            assert report["optimal_value"] == pytest.approx(optimum, rel=1e-12, abs=1e-12)
+            not_computed = budget < 85
+            assert ("bound_not_computed" in report["flags"]) == not_computed, budget
+            assert (report["skipped_terms"] is None) == not_computed, budget
+
+    @pytest.mark.parametrize("command", ["bound-adp", "check-equivalence"])
+    def test_refused_before_the_ground_set_is_built(self, command, monkeypatch, tmp_path,
+                                                   capsys):
+        # 27 stage policies, K = 3: the Theorem 2 check needs 81 strings.
+        built = []
+        original = adpbound.surrogate.policy_ground_set
+
+        def counted(model):
+            built.append(1)
+            return original(model)
+
+        monkeypatch.setattr(adpbound.surrogate, "policy_ground_set", counted)
+        args = [command, "--generate", "random_mdp", "--states", "3", "--actions", "3",
+                "--K", "3", "--scheme", "myopic", "--out", str(tmp_path)]
+        assert main(args + ["--budget", "80"]) == 3
+        assert "stage-wise selection check needs 81 evaluations" in capsys.readouterr().err
+        assert built == []
+        if command == "check-equivalence":
+            assert main(args + ["--budget", "81"]) == 0
+            assert built
+
+    def test_large_string_sweep_fits_the_default_budget(self, tmp_path):
+        # 12^0 + ... + 12^5 = 271,453 strings.
+        assert main(["verify-theorem1", "--generate", "coverage_submodular", "--K", "5",
+                     "--ground-size", "12", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("instance_*.json"))) == 1
 
 
 class TestDeterminism:

@@ -201,7 +201,7 @@ class TestBounds:
         sigma=st.floats(0.0, 1.0, allow_nan=False),
         horizon=st.integers(1, 20),
     )
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     def test_ordering_on_realizable_triples(self, eta, sigma, horizon):
         # Realizable instances satisfy eta * (1 - sigma) <= K, and on that
         # domain the finite-horizon bound decreases toward the asymptote.
@@ -274,7 +274,7 @@ class TestRecursionChecks:
 
 
 @given(data=st.data())
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 def test_random_monotone_tables_obey_guarantee(data):
     ground = data.draw(st.integers(2, 3), label="ground")
     horizon = data.draw(st.integers(2, 3), label="horizon")

@@ -69,7 +69,7 @@ def _outcome(fn, *args):
     horizon=st.integers(1, 4),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 def test_tables_match_loop_reference(kind, ground, horizon, seed):
     f = _objective(kind, ground, horizon, seed)
     trace = greedy_string(f, horizon)
@@ -110,7 +110,7 @@ def test_tables_match_loop_reference(kind, ground, horizon, seed):
     horizon=st.integers(1, 4),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_named_greedy_string_is_certified_along_itself(kind, ground, horizon, seed):
     # Greedy with largest-index tie-breaking: another greedy string wherever
     # a stage ties, which the monotone-marginal kind does often.
@@ -188,12 +188,26 @@ def test_report_evaluates_each_string_once(kind, ground, horizon):
     assert len(set(counted.calls)) == len(counted.calls)
 
 
-def test_report_checks_every_budget_before_evaluating():
-    # 27 full strings fit the budget, but the prefix-monotone check needs
-    # 2*3 + 3*9 + 4*27 = 141 evaluations and is refused before any work.
-    counted = CountingObjective(_objective("random_monotone_marginals", 3, 3, 0))
-    with pytest.raises(BudgetExceededError) as err:
-        greedy_guarantee_report(counted.objective, 3, budget=100)
-    assert err.value.required == 141
-    assert "prefix-monotonicity check" in str(err.value)
-    assert counted.calls == [()]
+@given(
+    kind=st.sampled_from(STRING_KINDS),
+    ground=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    offset=st.integers(-3, 3),
+)
+@settings(max_examples=100)
+def test_report_budget_is_the_number_of_strings_it_evaluates(kind, ground, horizon, offset):
+    # A budget within a few strings of the report's count of every string of
+    # length 0..K: refused exactly when it falls short, and then before any
+    # evaluation beyond the one construction makes of ().
+    counted = CountingObjective(_objective(kind, ground, horizon, 0))
+    strings = sum(ground**n for n in range(horizon + 1))
+    budget = max(0, strings + offset)
+    if strings > budget:
+        with pytest.raises(BudgetExceededError) as err:
+            greedy_guarantee_report(counted.objective, horizon, budget=budget)
+        assert err.value.required == strings
+        assert "string tabulation" in str(err.value)
+        assert counted.calls == [()]
+    else:
+        greedy_guarantee_report(counted.objective, horizon, budget=budget)
+        assert len(counted.calls) == 1 + strings

@@ -425,7 +425,7 @@ def models_with_w_tables(draw, max_strings=4096, denominator=1):
 
 
 @given(case=models_with_w_tables())
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 def test_tables_match_loop_reference(case):
     model, w = case
     cert = check_surrogate_monotonicity(model, w)
@@ -467,7 +467,7 @@ ROUNDED_TIE = (
 
 @given(case=models_with_w_tables(max_strings=256, denominator=3).flatmap(with_relabelling))
 @example(case=ROUNDED_TIE)
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_relabelling_states_leaves_the_report_unchanged(case):
     # Relabelling reorders the policy ground set, so smallest-index
     # tie-breaking over policies meets reached ties in another order; the
