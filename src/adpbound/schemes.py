@@ -167,33 +167,41 @@ def walk_noise_tree(model: MdpModel, policy: PolicyString) -> tuple[PathRecord, 
     """Follow a policy string down every branch of the noise tree.
 
     ``policy[k][x]`` is the action at state ``x`` of stage ``k + 1``.  Returns
-    one record per full noise path, in lexicographic noise order.
+    one record per full noise path, in lexicographic noise order.  The tree
+    is expanded one stage at a time, so the horizon is not bounded by the
+    recursion limit.
     """
     K = model.horizon
     probs = [float(p) for p in model.noise_probs]
-    records: list[PathRecord] = []
+    # Noise prefixes of the current stage in lexicographic order, each with
+    # its states, the actions before this stage, and its probability.
+    nodes: list[tuple[tuple[int, ...], list[int], list[int], float]] = [
+        ((), [model.initial_state], [], 1.0)
+    ]
+    for stage in range(K - 1):
+        children = []
+        for noise, states, actions, probability in nodes:
+            actions = actions + [policy[stage][states[-1]]]
+            for symbol, p in enumerate(probs):
+                successor = int(model.transition[states[-1], actions[-1], symbol])
+                children.append((noise + (symbol,), states + [successor], actions, probability * p))
+        nodes = children
 
-    def walk(noise: tuple[int, ...], states: list[int], actions: list[int], probability: float) -> None:
-        actions = actions + [policy[len(actions)][states[-1]]]
-        if len(actions) == K:
-            total = 0.0
-            for x, a in zip(states, actions):
-                total += float(model.reward[x, a])
-            records.append(
-                PathRecord(
-                    noise=noise,
-                    probability=probability,
-                    states=tuple(states),
-                    actions=tuple(actions),
-                    reward=total,
-                )
+    records = []
+    for noise, states, actions, probability in nodes:
+        actions = actions + [policy[K - 1][states[-1]]]
+        total = 0.0
+        for x, a in zip(states, actions):
+            total += float(model.reward[x, a])
+        records.append(
+            PathRecord(
+                noise=noise,
+                probability=probability,
+                states=tuple(states),
+                actions=tuple(actions),
+                reward=total,
             )
-            return
-        for symbol, p in enumerate(probs):
-            successor = int(model.transition[states[-1], actions[-1], symbol])
-            walk(noise + (symbol,), states + [successor], actions, probability * p)
-
-    walk((), [model.initial_state], [], 1.0)
+        )
     return tuple(records)
 
 

@@ -106,7 +106,9 @@ class CurvatureReport:
     ``bound_finite_K`` is the horizon-K guarantee and ``bound_asymptotic`` its
     large-horizon limit; both are NaN when the underlying curvature maximum
     had no valid terms (see ``flags``).  ``ratio`` is greedy/optimal, reported
-    as 1 with a flag when both values are 0.
+    as 1 with a flag when both values are 0.  ``worst_slack`` is the
+    minimum of f(s) - f(prefix) over every string and prefix, the margin by
+    which ``prefix_monotone`` holds or fails.
     """
 
     eta: float
@@ -117,6 +119,7 @@ class CurvatureReport:
     optimal_value: float
     ratio: float
     prefix_monotone: bool
+    worst_slack: float
     diminishing_return: bool
     eta_nonpositive: bool
     skipped_terms: int
@@ -258,33 +261,36 @@ def optimal_string_bruteforce(
 
 def _prefix_monotone(
     tables: list[np.ndarray],
-) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
+) -> tuple[bool, Optional[tuple[ActionString, ActionString]], float]:
+    witness: Optional[tuple[ActionString, ActionString]] = None
+    worst = math.inf
     for length in range(1, len(tables)):
-        # violated[cut][s]: string s is worth less than its prefix of length cut.
-        violated = np.stack(
-            [
-                tables[length] < _expand(tables[cut] - VALUE_TOL, cut, length - cut)
-                for cut in range(length)
-            ]
-        )
-        string = _first(violated.any(axis=0))
+        # first_cut[s]: the shortest prefix that string s is worth less than, or length.
+        first_cut = np.full(np.shape(tables[length]), length)
+        for cut in reversed(range(length)):
+            # slack[s] = f(s) - f(s[:cut]), what extending the prefix of length cut to s gains.
+            slack = tables[length] - _expand(tables[cut], cut, length - cut)
+            worst = min(worst, float(slack.min()))
+            first_cut[slack < -VALUE_TOL] = cut
+        string = _first(first_cut < length) if witness is None else None
         if string is not None:
-            cut = int(np.argmax(violated[(slice(None),) + string]))
-            return False, (string[:cut], string)
-    return True, None
+            witness = (string[: first_cut[string]], string)
+    return witness is None, witness, worst
 
 
 def check_prefix_monotone(
     f: StringObjective,
     horizon: int,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
+) -> tuple[bool, Optional[tuple[ActionString, ActionString]], float]:
     """Exhaustively test whether extending any string can lower the objective.
 
     Checks every pair (prefix, string) with string length up to ``horizon``,
-    including the empty prefix (so nonnegativity is covered).  Returns the
-    first witness pair on failure, ordered by string length, then string,
-    then prefix length.
+    including the empty prefix (so nonnegativity is covered): the slack
+    f(string) - f(prefix) must not fall below ``-VALUE_TOL``.  Returns
+    ``(ok, witness, worst_slack)``: the witness is the first violating pair,
+    ordered by string length, then string, then prefix length, or None;
+    ``worst_slack`` is the minimum slack over every pair.
     """
     return _prefix_monotone(_tables(f, horizon, budget))
 
@@ -461,7 +467,7 @@ def greedy_guarantee_report(
     _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
 
-    monotone, _ = _prefix_monotone(tables)
+    monotone, _, worst_slack = _prefix_monotone(tables)
     diminishing, _ = _diminishing_return(tables)
 
     flags: list[str] = []
@@ -517,6 +523,7 @@ def greedy_guarantee_report(
         optimal_value=optimal_value,
         ratio=ratio,
         prefix_monotone=monotone,
+        worst_slack=worst_slack,
         diminishing_return=diminishing,
         eta_nonpositive=eta_nonpositive,
         skipped_terms=skipped,

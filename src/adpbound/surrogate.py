@@ -13,9 +13,10 @@ optimum, whatever its tie-breaking, certified whenever the averaged
 surrogate is prefix-monotone.
 
 The scheme enters only through its W table.  The averaged surrogate averages
-realized paths (``_g_avg``); the monotonicity certificate propagates state
-distributions forward over the same table, an independent route to the same
-expectations.
+realized paths (``_g_avg``), and the monotonicity certificate is the
+prefix-monotone check on the value tables the guarantee report builds from
+it; its independent route, a node-by-node walk of the policy-string tree,
+lives with the tests.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .common import (
     DEFAULT_BUDGET,
@@ -46,6 +45,7 @@ from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
+    check_prefix_monotone,
     greedy_guarantee_report,
 )
 
@@ -202,8 +202,10 @@ def check_stagewise_selection(
     Checks stage by stage that, given the shared prefix, the string's stage
     policy attains the maximum of the averaged surrogate over the whole
     ground set, so the string is a greedy string of the objective whatever
-    its tie-breaking.  Applied to the forward run's induced stage policies
-    this is the scheme's Theorem 2 identity.
+    its tie-breaking.  The attained value and the maximum are compared with
+    :func:`values_agree`, since a tie the scheme resolved with r + W can
+    round apart in the surrogate's sums.  Applied to the forward run's
+    induced stage policies this is the scheme's Theorem 2 identity.
     """
     prefix: tuple[int, ...] = ()
     evidence: list[StageEvidence] = []
@@ -219,7 +221,7 @@ def check_stagewise_selection(
         evidence.append(
             StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
         )
-    verified = all(item.gap <= VALUE_TOL for item in evidence)
+    verified = all(values_agree(item.attained_value, item.best_value) for item in evidence)
     return verified, tuple(evidence)
 
 
@@ -275,7 +277,12 @@ def check_adp_pdao_identity(
 
 @dataclass(frozen=True)
 class MonotonicityCertificate:
-    """Outcome of the sufficient condition for the averaged surrogate to be monotone."""
+    """Whether the averaged surrogate is prefix-monotone, with its margin.
+
+    ``worst_slack`` is the minimum of g(string) - g(prefix) over every policy
+    string and prefix; ``witness`` is the first violating (prefix, string)
+    as stage policies, or None when the certificate holds.
+    """
 
     holds: bool
     worst_slack: float
@@ -289,75 +296,16 @@ def check_surrogate_monotonicity(
 
     For every policy string and every prefix split m < n, the expected drop in
     the continuation estimate between stages m and n must not exceed the
-    expected reward accumulated over stages m+1..n.  The split m = 0 (empty
-    prefix, continuation term 0) is included so the certificate holds exactly
-    when the averaged surrogate is prefix-monotone, nonnegativity included.
-
-    Expectations come from propagating the state distribution of every policy
-    string forward, level by level, not from evaluating the averaged
-    surrogate path by path, so this check is a route independent of
-    ``policy_string_objective``.  Level n holds, for every string of length n
-    in lexicographic order, the expected reward so far (``cum``) and the
-    expected W at stage n (``ew``); the slack of split (m, n) is
-    (cum_n - cum_m) - (ew_m - ew_n).  The witness is the first worst
-    (string, m) in depth-first order of the strings.
+    expected reward accumulated over stages m+1..n.  That slack is
+    g(string) - g(prefix) for the averaged surrogate g, and the empty prefix
+    is included, so this is :func:`check_prefix_monotone` on
+    ``policy_string_objective(model, approximator)``.
     """
-    ground = policy_ground_set(model)
-    P = len(ground)
-    K = model.horizon
-    S = model.num_states
-
-    # actions[j, x] is the action of stage policy j at state x.
-    actions = np.array(ground, dtype=np.int64).reshape(P, S)
-    policies = np.arange(P)
-    probs = model.noise_probs
-    cum = [np.zeros(1)]
-    ew = [np.zeros(1)]
-    dist = np.zeros((1, S))
-    dist[0, model.initial_state] = 1.0
-    for n in range(K):
-        # Extend every string of length n by every stage policy.  Sums run
-        # over states in a fixed order, the same for every string, so strings
-        # that differ only on unreached states get bit-equal values.
-        reward_n = np.zeros((len(dist), P))
-        w_n = np.zeros((len(dist), P))
-        successor = np.zeros((len(dist), P, S)) if n + 1 < K else None
-        for x in range(S):
-            p = dist[:, x, None]
-            a = actions[:, x]
-            reward_n += p * model.reward[x, a]
-            w_n += p * approximator.table[n, x, a]
-            if successor is not None:
-                for symbol in range(model.noise_size):
-                    successor[:, policies, model.transition[x, a, symbol]] += p * probs[symbol]
-        cum.append((cum[n][:, None] + reward_n).ravel())
-        ew.append(w_n.ravel())
-        if successor is not None:
-            dist = successor.reshape(-1, S)
-
-    candidates = []
-    for n in range(1, K + 1):
-        low = np.full(P**n, math.inf)
-        first_m = np.zeros(P**n, dtype=np.int64)
-        for m in range(n):
-            # Rows are the length-m prefixes, columns their extensions to length n.
-            width = P ** (n - m)
-            slack = (
-                (cum[n].reshape(-1, width) - cum[m][:, None])
-                - (ew[m][:, None] - ew[n].reshape(-1, width))
-            ).ravel()
-            first_m[slack < low] = m
-            low = np.minimum(low, slack)
-        s = int(np.argmin(low))
-        string = tuple(int(i) for i in np.unravel_index(s, (P,) * n))
-        candidates.append((float(low[s]), string, int(first_m[s])))
-    worst, string, m = min(candidates)
-    policy_string = tuple(ground[i] for i in string)
-    return MonotonicityCertificate(
-        holds=worst >= -VALUE_TOL,
-        worst_slack=worst,
-        witness=(policy_string[:m], policy_string),
-    )
+    obj = policy_string_objective(model, approximator)
+    holds, witness, worst_slack = check_prefix_monotone(obj.objective, model.horizon)
+    if witness is not None:
+        witness = (obj.policies_for(witness[0]), obj.policies_for(witness[1]))
+    return MonotonicityCertificate(holds=holds, worst_slack=worst_slack, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -381,8 +329,8 @@ def budget_preflight(model: MdpModel, budget: int) -> bool:
     The forward run walks N^(K-1) noise paths and the Theorem 2 check
     evaluates K * A^S policy strings; either count over the budget raises
     :class:`BudgetExceededError`.  Returns whether the bound fits as well: its
-    tables hold every policy string of length 0..K, sum_{n<=K} (A^S)^n, which
-    also covers the monotonicity certificate.  Nothing is built, so callers
+    tables hold every policy string of length 0..K, sum_{n<=K} (A^S)^n, and
+    the monotonicity certificate is read from them.  Nothing is built, so callers
     run this before any work that grows with the model.
     """
     K = model.horizon
@@ -404,11 +352,13 @@ def adp_bound_report(
     string certified on the averaged surrogate, so the curvatures are
     measured along the scheme's own trajectory; the string-objective optimum
     is cross-checked against backward induction and the string's value
-    against the forward run, each with :func:`values_agree`.  When the
-    monotonicity certificate holds, the achieved ratio is asserted against the
-    finite-horizon curvature bound.  Models whose policy strings of length
-    0..K exceed the budget still get exact values and the scheme checks, but
-    the bound is flagged as not computed.
+    against the forward run, each with :func:`values_agree`.  The
+    monotonicity certificate and its worst slack are the curvature report's
+    prefix-monotone check on the same tables.  When the certificate holds,
+    the achieved ratio is asserted against the finite-horizon curvature
+    bound.  Models whose policy strings of length 0..K exceed the budget
+    still get exact values and the scheme checks, but the bound is flagged as
+    not computed.
     """
     bound_fits = budget_preflight(model, budget)
     flags: list[str] = []
@@ -419,7 +369,6 @@ def adp_bound_report(
     adp_value = run.expected_value
 
     curvature: Optional[CurvatureReport] = None
-    certificate = MonotonicityCertificate(holds=False, worst_slack=math.nan, witness=None)
     optimal_value = bellman_value
 
     obj = policy_string_objective(model, approximator)
@@ -444,7 +393,7 @@ def adp_bound_report(
                 f"stage-wise greedy value {curvature.greedy_value!r} disagrees with "
                 f"the forward run {adp_value!r}"
             )
-        certificate = check_surrogate_monotonicity(model, approximator)
+    monotone = curvature is not None and curvature.prefix_monotone
 
     if optimal_value == 0.0 and adp_value == 0.0:
         ratio = 1.0
@@ -454,8 +403,7 @@ def adp_bound_report(
         ratio = adp_value / optimal_value
 
     if (
-        certificate.holds
-        and curvature is not None
+        monotone
         and not math.isnan(curvature.bound_finite_K)
         and ratio < curvature.bound_finite_K - VALUE_TOL
     ):
@@ -468,8 +416,8 @@ def adp_bound_report(
         optimal_value=optimal_value,
         adp_value=adp_value,
         ratio=ratio,
-        monotone_certificate=certificate.holds,
-        worst_slack=certificate.worst_slack,
+        monotone_certificate=monotone,
+        worst_slack=math.nan if curvature is None else curvature.worst_slack,
         pdao_matches_gps=gps_ok,
         adp_matches_pdao=identity_ok,
         flags=tuple(flags),

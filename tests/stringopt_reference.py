@@ -67,16 +67,20 @@ def bruteforce(f: StringObjective, horizon: int) -> tuple[ActionString, float]:
 
 def prefix_monotone(
     f: StringObjective, horizon: int, tol: float
-) -> tuple[bool, Optional[tuple[ActionString, ActionString]]]:
+) -> tuple[bool, Optional[tuple[ActionString, ActionString]], float]:
     ev = cached_evaluator(f)
+    witness: Optional[tuple[ActionString, ActionString]] = None
+    worst = math.inf
     for length in range(1, horizon + 1):
         for string in itertools.product(range(f.ground_size), repeat=length):
             value = ev(string)
             for cut in range(len(string)):
                 prefix = string[:cut]
-                if value < ev(prefix) - tol:
-                    return False, (prefix, string)
-    return True, None
+                slack = value - ev(prefix)
+                worst = min(worst, slack)
+                if witness is None and slack < -tol:
+                    witness = (prefix, string)
+    return witness is None, witness, worst
 
 
 def diminishing_return(

@@ -1,10 +1,16 @@
 """Loop references for the table code in ``adpbound.schemes`` and ``adpbound.surrogate``.
 
-``scheme_policy`` scores every (stage, state, action) one at a time, and
+``scheme_policy`` scores every (stage, state, action) one at a time; the
+library computes it as one array argmax with the same floating-point
+operations, so the two must agree with ``==``.
+
 ``monotonicity_certificate`` walks the policy-string tree depth first,
-propagating one state distribution per node.  The library computes the same
-quantities as array reductions with the same floating-point operations in the
-same order, so results must agree with ``==``, not within a tolerance.
+propagating one state distribution per node and reducing the slack of every
+prefix split as expected reward gained minus expected continuation lost.
+The library reads the certificate off the prefix-monotone check on the
+averaged surrogate's value tables instead, so this walk is the independent
+route to it: the verdict must agree exactly, the worst slack within
+``values_agree``.
 
 ``pdao_construct`` builds the path-dependent greedy scheme of the surrogate
 as its own noise tree, picking the first maximizer of the path score at every
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,12 +52,8 @@ def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyStri
 
 def monotonicity_certificate(
     model: MdpModel, approximator: EvtgApproximator
-) -> tuple[bool, float, Optional[tuple[PolicyString, PolicyString]]]:
-    """(holds, worst slack, witness) of the monotonicity condition, node by node.
-
-    The witness is the first split (prefix, string) attaining the worst slack,
-    visiting strings depth first and splits m in increasing order.
-    """
+) -> tuple[bool, float]:
+    """(holds, worst slack) of the monotonicity condition, node by node."""
     ground = policy_ground_set(model)
     K = model.horizon
     reward = model.reward
@@ -63,23 +64,19 @@ def monotonicity_certificate(
     w = approximator.evaluate
 
     worst = math.inf
-    witness: Optional[tuple[PolicyString, PolicyString]] = None
 
     def recurse(
         prefix: tuple[MarkovPolicy, ...],
         dist: np.ndarray,
         history: list[tuple[float, float]],
     ) -> None:
-        nonlocal worst, witness
+        nonlocal worst
         n = len(prefix)
         if n > 0:
             cum_n, ew_n = history[n]
             for m in range(n):
                 cum_m, ew_m = history[m]
-                slack = (cum_n - cum_m) - (ew_m - ew_n)
-                if slack < worst:
-                    worst = slack
-                    witness = (prefix[:m], prefix)
+                worst = min(worst, (cum_n - cum_m) - (ew_m - ew_n))
         if n == K:
             return
         stage = n + 1
@@ -109,7 +106,7 @@ def monotonicity_certificate(
     start = np.zeros(S)
     start[model.initial_state] = 1.0
     recurse((), start, [(0.0, 0.0)])
-    return worst >= -VALUE_TOL, worst, witness
+    return worst >= -VALUE_TOL, worst
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,17 @@ import pytest
 import adpbound.surrogate
 from adpbound import (
     GeneratedInstanceSpec,
+    MdpModel,
     bellman_solve,
+    evaluate_policy_exact,
     generate_mdp_instances,
+    myopic_w,
     random_base_policy,
     save_model,
+    scheme_policy,
 )
 from adpbound.cli import main
+from adpbound.common import values_agree
 from conftest import chain_model, zero_reward_model
 
 
@@ -85,6 +90,16 @@ class TestRunAdp:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert read_json(out1)["mc_mean"] == 2.0
+
+    def test_long_horizon_is_walked_without_recursion(self, chain_file, tmp_path):
+        # One noise path of 1500 stages: deeper than Python's recursion limit.
+        out = tmp_path / "run.json"
+        code = main(["run-adp", "--model", chain_file, "--scheme", "myopic", "--K", "1500",
+                     "--out", str(out)])
+        assert code == 0
+        model = chain_model(horizon=1500)
+        exact = evaluate_policy_exact(model, scheme_policy(model, myopic_w(model)))
+        assert values_agree(read_json(out)["expected_value"], exact)
 
     def test_mc_rollout_fits_a_budget_below_the_noise_tree(self, tmp_path):
         # 3^4 = 81 noise paths exceed the budget of 10, which only --mc avoids;
@@ -199,6 +214,27 @@ class TestCheckEquivalence:
                          "--seed", "21", "--scheme", scheme, "--out",
                          str(tmp_path / scheme)])
             assert code == 0, scheme
+
+
+class TestRoundedStageTie:
+    # The exact_evtg scheme is optimal, so it attains every stage maximum; at
+    # stage 3 the attained value and the maximum are exact ties near 3e6 that
+    # the surrogate's sums round one ulp apart (a gap of 2^-31).
+    MODEL = MdpModel(
+        num_states=3, num_actions=2, horizon=4, initial_state=0, noise_probs=[1.0],
+        transition=[[[0], [2]], [[2], [1]], [[2], [0]]],
+        reward=[[2e6 / 3, 1e6], [1e6, 1e6], [2e6 / 3, 1e6 / 3]],
+    )
+
+    @pytest.mark.parametrize("command", ["check-equivalence", "bound-adp"])
+    def test_tie_is_verified(self, tmp_path, command):
+        save_model(self.MODEL, tmp_path / "model.json")
+        out = tmp_path / "report.json"
+        assert main([command, "--model", str(tmp_path / "model.json"), "--scheme", "exact_evtg",
+                     "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["theorem2_verified"] is True
+        assert report["prop1_verified"] is True
 
 
 class TestReachedTies:

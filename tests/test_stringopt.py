@@ -87,10 +87,12 @@ class TestBruteForce:
 
 class TestPropertyChecks:
     def test_length_monotone(self):
-        assert check_prefix_monotone(length_objective(), 3) == (True, None)
+        # Every extension by one action gains exactly 1.
+        assert check_prefix_monotone(length_objective(), 3) == (True, None, 1.0)
 
     def test_distinct_monotone(self):
-        assert check_prefix_monotone(distinct_objective(), 3) == (True, None)
+        # Repeating an action gains nothing.
+        assert check_prefix_monotone(distinct_objective(), 3) == (True, None, 0.0)
 
     def test_monotonicity_witness(self):
         f = table_objective(
@@ -98,9 +100,10 @@ class TestPropertyChecks:
             2,
             2,
         )
-        ok, witness = check_prefix_monotone(f, 2)
+        ok, witness, worst_slack = check_prefix_monotone(f, 2)
         assert not ok
         assert witness == ((0,), (0, 1))
+        assert worst_slack == 0.5 - 1.0
 
     def test_diminishing_return_cases(self):
         assert check_diminishing_return(distinct_objective(), 3)[0]

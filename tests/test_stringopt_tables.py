@@ -88,7 +88,8 @@ def test_tables_match_loop_reference(kind, ground, horizon, seed):
     report = greedy_guarantee_report(f, horizon)
     assert report.greedy_value == trace.prefix_values[-1]
     assert report.optimal_value == reference.bruteforce(f, horizon)[1]
-    assert report.prefix_monotone == reference.prefix_monotone(f, horizon, VALUE_TOL)[0]
+    monotone, _, worst_slack = reference.prefix_monotone(f, horizon, VALUE_TOL)
+    assert (report.prefix_monotone, report.worst_slack) == (monotone, worst_slack)
     assert report.diminishing_return == reference.diminishing_return(f, horizon, VALUE_TOL)[0]
     skipped = 0
     if eta == "undefined":
@@ -153,8 +154,8 @@ def test_witnesses_match_loop_reference():
     found = 0
     for seed in range(20):
         f = _objective("random_string_fn", 3, 3, seed)
-        ok, witness = check_prefix_monotone(f, 3)
-        assert (ok, witness) == reference.prefix_monotone(f, 3, VALUE_TOL)
+        ok, witness, worst_slack = check_prefix_monotone(f, 3)
+        assert (ok, witness, worst_slack) == reference.prefix_monotone(f, 3, VALUE_TOL)
         dr = check_diminishing_return(f, 3)
         assert dr == reference.diminishing_return(f, 3, VALUE_TOL)
         found += (witness is not None) + (dr[1] is not None)
