@@ -8,7 +8,6 @@ part of the published contract: fixtures are reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -82,23 +81,29 @@ def _coverage_objective(rng: np.random.Generator, ground_size: int, horizon: int
 
 
 def _table_objective(
-    ground_size: int, horizon: int, extend: Callable[[float], float]
+    ground_size: int, horizon: int, extend: Callable[[np.ndarray], np.ndarray]
 ) -> StringObjective:
-    # Tabulates every string up to the horizon, shortest first and in
-    # lexicographic order within a length; ``extend`` maps the value of a
-    # string's parent (the string without its last action) to its own.
-    values: dict[tuple[int, ...], float] = {(): 0.0}
+    # Builds every level from the one before it.  ``extend`` maps the values
+    # of the parents of every string of the next length (each string without
+    # its last action), in lexicographic order of the strings, to their own
+    # values; repeating each parent once per action gives exactly that order.
+    levels = [np.zeros(())]
     for length in range(1, horizon + 1):
-        for string in itertools.product(range(ground_size), repeat=length):
-            values[string] = extend(values[string[:-1]])
+        values = extend(np.repeat(levels[-1].ravel(), ground_size))
+        levels.append(values.reshape((ground_size,) * length))
+    for level in levels:
+        level.setflags(write=False)
 
     def evaluate(string: tuple[int, ...]) -> float:
-        try:
-            return values[tuple(string)]
-        except KeyError:
-            raise ValueError("string longer than the generated horizon") from None
+        # Checked here because numpy would wrap a negative action around.
+        string = tuple(string)
+        if len(string) > horizon or not all(0 <= a < ground_size for a in string):
+            raise ValueError(f"string {string!r} is not in the generated table")
+        return float(levels[len(string)][string])
 
-    return StringObjective(evaluate=evaluate, ground_size=ground_size, horizon=horizon)
+    return StringObjective(
+        evaluate=evaluate, ground_size=ground_size, horizon=horizon, tables=levels
+    )
 
 
 def _monotone_marginals_objective(
@@ -106,10 +111,10 @@ def _monotone_marginals_objective(
 ) -> StringObjective:
     # Nonnegative per-(prefix, action) gains; roughly a quarter of the gains
     # are exactly zero to exercise tie and skip handling.  Prefix-monotone by
-    # construction, order matters.
-    def extend(parent: float) -> float:
-        gain = 0.0 if rng.random() < 0.25 else 0.05 + float(rng.random())
-        return parent + gain
+    # construction, order matters.  One conditional draw per string, in order.
+    def extend(parents: np.ndarray) -> np.ndarray:
+        gains = (0.0 if rng.random() < 0.25 else 0.05 + rng.random() for _ in parents)
+        return parents + np.fromiter(gains, dtype=float, count=parents.size)
 
     return _table_objective(ground_size, horizon, extend)
 
@@ -118,7 +123,8 @@ def _unconstrained_objective(
     rng: np.random.Generator, ground_size: int, horizon: int
 ) -> StringObjective:
     # Arbitrary nonnegative table; generally neither monotone nor concave.
-    return _table_objective(ground_size, horizon, lambda parent: float(2.0 * rng.random()))
+    # A bulk draw gives the same doubles as one draw per string.
+    return _table_objective(ground_size, horizon, lambda parents: 2.0 * rng.random(parents.size))
 
 
 def generate_string_instances(spec: GeneratedInstanceSpec) -> tuple[StringObjective, ...]:

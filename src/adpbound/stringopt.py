@@ -10,13 +10,16 @@ ratio that those curvatures certify.
 Everything here is exhaustive and deterministic: argmax ties break toward the
 smallest action index and enumerations run in lexicographic order.
 
-The enumerations evaluate the objective once per string into value tables,
-one numpy array of shape ``(m,) * n`` per string length ``n``, and compute
-each quantity as elementwise expressions and reductions over those tables.
-The budget counts those evaluations and is checked before the first one:
-a function that tabulates lengths 0..K needs sum_{n<=K} m^n, one that reads
-length K only (the brute-force optimum and the total curvature) needs m^K.
-Only :func:`greedy_string` walks the objective directly, since it needs just
+The enumerations read value tables, one numpy array of shape ``(m,) * n``
+per string length ``n``, and compute each quantity as elementwise
+expressions and reductions over those tables.  An objective that carries
+its tables (the generated table objectives do) hands its levels over as
+they are; a callable objective is evaluated once per string to fill them.
+The budget counts those strings and is checked before the first one is
+read, whichever way the tables are filled: a function that tabulates
+lengths 0..K needs sum_{n<=K} m^n, one that reads length K only (the
+brute-force optimum and the total curvature) needs m^K.  Only
+:func:`greedy_string` walks the objective directly, since it needs just
 O(m * K) evaluations.
 """
 
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -68,11 +71,17 @@ class StringObjective:
     ``evaluate`` must map any tuple of action indices (below ``ground_size``)
     to a value, return 0 for the empty string, and be deterministic.
     ``horizon`` records the intended maximum string length.
+
+    ``tables`` optionally carries the values of ``evaluate``: level ``n``
+    holds f on every string of length ``n``, shape ``(m,) * n``, for
+    n = 0..horizon.  The enumerations then read the levels instead of
+    calling ``evaluate`` once per string.  Levels are stored read-only.
     """
 
     evaluate: Callable[[ActionString], float]
     ground_size: int
     horizon: int
+    tables: Optional[Sequence[np.ndarray]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ground_size < 1:
@@ -82,6 +91,30 @@ class StringObjective:
         empty = float(self.evaluate(()))
         if empty != 0.0:
             raise ValueError(f"objective must map the empty string to 0, got {empty}")
+        if self.tables is not None:
+            object.__setattr__(self, "tables", self._checked_tables(self.tables))
+
+    def _checked_tables(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        levels = tuple(_read_only(level) for level in tables)
+        if len(levels) != self.horizon + 1:
+            raise ValueError(f"tables need {self.horizon + 1} levels, got {len(levels)}")
+        for length, level in enumerate(levels):
+            if level.shape != (self.ground_size,) * length:
+                raise ValueError(f"table level {length} has shape {level.shape}")
+            if not np.isfinite(level).all():
+                raise ValueError(f"table level {length} holds a non-finite value")
+        if levels[0] != 0.0:
+            raise ValueError(f"table level 0 must be 0, got {float(levels[0])}")
+        return levels
+
+
+def _read_only(level: np.ndarray) -> np.ndarray:
+    # A level that is already read-only is kept as it is, so no copy is made.
+    array = np.asarray(level, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -195,13 +228,16 @@ def greedy_string(f: StringObjective, horizon: int) -> GreedyTrace:
 
 
 def _level(f: StringObjective, length: int, budget: int) -> np.ndarray:
-    """``f`` on every string of ``length``, evaluated in lexicographic order.
+    """``f`` on every string of ``length``: the carried level, or evaluated in
+    lexicographic order.
 
     The result has shape ``(m,) * length``: entry ``s`` holds f(s).
     """
     m = f.ground_size
     count = m**length
     ensure_budget(count, budget, "string tabulation")
+    if f.tables is not None and length <= f.horizon:
+        return f.tables[length]
     strings = itertools.product(range(m), repeat=length)
     values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=count)
     return values.reshape((m,) * length)

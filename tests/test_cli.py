@@ -422,6 +422,14 @@ class TestBudget:
             assert main(args + ["--budget", "81"]) == 0
             assert built
 
+    def test_table_objective_is_refused_like_a_callable(self, tmp_path, capsys):
+        # A generated objective carries its tables, but the report still
+        # counts 7^0 + ... + 7^5 = 19,608 strings against the budget.
+        assert main(["verify-theorem1", "--generate", "random_monotone_marginals", "--K", "5",
+                     "--ground-size", "7", "--budget", "100", "--out", str(tmp_path)]) == 3
+        assert "string tabulation needs 19608 evaluations" in capsys.readouterr().err
+        assert not list(tmp_path.glob("instance_*.json"))
+
     def test_large_string_sweep_fits_the_default_budget(self, tmp_path):
         # 12^0 + ... + 12^5 = 271,453 strings.
         assert main(["verify-theorem1", "--generate", "coverage_submodular", "--K", "5",

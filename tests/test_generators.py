@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+import generators_reference as reference
 from adpbound import (
+    STRING_KINDS,
     GeneratedInstanceSpec,
     check_diminishing_return,
     check_prefix_monotone,
     forward_curvature_sigma,
     generate_mdp_instances,
     generate_string_instances,
+    greedy_guarantee_report,
     greedy_string,
 )
+
+TABLE_KINDS = ("random_monotone_marginals", "random_string_fn")
 
 
 def spec(kind, **kwargs):
@@ -50,6 +56,27 @@ class TestMonotoneMarginalInstances:
             f.evaluate((0,) * (f.horizon + 1))
 
 
+class TestTableLookup:
+    def test_rejects_overlong_queries(self):
+        f = generate_string_instances(spec("random_string_fn", count=1))[0]
+        with pytest.raises(ValueError):
+            f.evaluate((0,) * (f.horizon + 1))
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    @pytest.mark.parametrize("string", [(-1,), (0, -3), (3,), (1, 2, 7)])
+    def test_rejects_actions_outside_the_ground_set(self, kind, string):
+        # NumPy would wrap -1 to the last action; the lookup must refuse it.
+        f = generate_string_instances(spec(kind, count=1))[0]
+        with pytest.raises(ValueError):
+            f.evaluate(string)
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_report_beyond_the_horizon_is_refused(self, kind):
+        f = generate_string_instances(spec(kind, count=1))[0]
+        with pytest.raises(ValueError):
+            greedy_guarantee_report(f, f.horizon + 1)
+
+
 class TestUnconstrainedInstances:
     def test_nonnegative_values(self):
         for f in generate_string_instances(spec("random_string_fn", count=3)):
@@ -59,6 +86,49 @@ class TestUnconstrainedInstances:
     def test_eventually_nonmonotone(self):
         instances = generate_string_instances(spec("random_string_fn", count=10))
         assert any(not check_prefix_monotone(f, f.horizon)[0] for f in instances)
+
+
+def _values(f, ground, horizon):
+    # f on every string of length 0..horizon, shortest first, lexicographic within a length.
+    return [
+        f.evaluate(string)
+        for length in range(horizon + 1)
+        for string in itertools.product(range(ground), repeat=length)
+    ]
+
+
+class TestAgainstDictReference:
+    @pytest.mark.parametrize("kind", STRING_KINDS)
+    def test_every_value_matches(self, kind):
+        for ground, horizon, seed in itertools.product(range(1, 8), range(1, 6), (0, 9, 2024)):
+            s = spec(kind, count=1, seed=seed, ground_size=ground, horizon=horizon)
+            (f,) = generate_string_instances(s)
+            (ref,) = reference.string_instances(s)
+            values = _values(f, ground, horizon)
+            assert values == _values(ref, ground, horizon), (ground, horizon, seed)
+            if kind in TABLE_KINDS:
+                levels = [value for level in f.tables for value in level.ravel().tolist()]
+                assert levels == values
+
+    def test_hash_of_every_value_is_unchanged(self):
+        # 984 objectives: per kind, 20 at every ground 1-4 and K 1-4, and 8 at
+        # the benchmark's ground 7 and K=5.  The digest was taken from the
+        # dict-table generators.
+        digest = hashlib.sha256()
+        objectives = 0
+        for k, kind in enumerate(STRING_KINDS):
+            shapes = [(g, K, 20) for g in range(1, 5) for K in range(1, 5)] + [(7, 5, 8)]
+            for ground, horizon, count in shapes:
+                s = spec(kind, count=count, seed=1000 * k + 10 * ground + horizon,
+                         ground_size=ground, horizon=horizon)
+                for f in generate_string_instances(s):
+                    objectives += 1
+                    values = _values(f, ground, horizon)
+                    digest.update(np.array(values, dtype="<f8").tobytes())
+        assert objectives == 984
+        assert digest.hexdigest() == (
+            "453982db91c54759d7b452c5c59abdac419db2c13f3cc1bc98e4ab153000f9cf"
+        )
 
 
 class TestDeterminism:

@@ -8,6 +8,10 @@ tolerance: values, witnesses, tie sets, skipped-term counts and flags.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from adpbound import (
     forward_curvature_sigma,
     generate_string_instances,
     greedy_guarantee_report,
+    greedy_recursion_checks,
     greedy_string,
     optimal_string_bruteforce,
     total_curvature_eta,
@@ -212,3 +217,109 @@ def test_report_budget_is_the_number_of_strings_it_evaluates(kind, ground, horiz
     else:
         greedy_guarantee_report(counted.objective, horizon, budget=budget)
         assert len(counted.calls) == 1 + strings
+
+
+def _same(a, b) -> bool:
+    """``==`` on every field, recursively, with NaN equal to NaN."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, name.name), getattr(b, name.name)) for name in dataclasses.fields(a)
+        )
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+def _callable_only(f: StringObjective) -> StringObjective:
+    return StringObjective(evaluate=f.evaluate, ground_size=f.ground_size, horizon=f.horizon)
+
+
+@given(
+    kind=st.sampled_from(("random_monotone_marginals", "random_string_fn")),
+    ground=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=120)
+def test_table_path_is_the_callable_path(kind, ground, horizon, seed):
+    tabled = _objective(kind, ground, horizon, seed)
+    assert tabled.tables is not None
+    plain = _callable_only(tabled)
+    trace = greedy_string(plain, horizon)
+    # Largest-index greedy: another greedy string wherever a stage ties.
+    named = ()
+    for _ in range(horizon):
+        values = [plain.evaluate(named + (a,)) for a in range(ground)]
+        named += (max(a for a in range(ground) if values[a] == max(values)),)
+    calls = [
+        (greedy_guarantee_report, horizon),
+        (lambda f: greedy_guarantee_report(f, horizon, greedy=named),),
+        (optimal_string_bruteforce, horizon),
+        (check_prefix_monotone, horizon),
+        (check_diminishing_return, horizon),
+        (total_curvature_eta, trace, horizon),
+        (forward_curvature_sigma, trace, horizon),
+        (greedy_recursion_checks, horizon),
+    ]
+    for fn, *args in calls:
+        assert _same(_outcome(fn, tabled, *args), _outcome(fn, plain, *args)), fn
+
+
+@pytest.mark.parametrize("kind", ("random_monotone_marginals", "random_string_fn"))
+def test_report_reads_carried_tables_without_evaluating(kind):
+    f = _objective(kind, 4, 4, 11)
+    counted = CountingObjective(f)
+    tabled = StringObjective(
+        evaluate=counted._evaluate, ground_size=f.ground_size, horizon=f.horizon, tables=f.tables
+    )
+    counted.calls.clear()
+    report = greedy_guarantee_report(tabled, 4)
+    assert counted.calls == []
+    assert _same(report, greedy_guarantee_report(counted.objective, 4))
+
+
+def _levels(ground: int, horizon: int) -> list[np.ndarray]:
+    return [np.full((ground,) * n, float(n)) for n in range(horizon + 1)]
+
+
+def _broken(change):
+    levels = _levels(2, 3)
+    change(levels)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        pytest.param(_levels(2, 2), id="too_few_levels"),
+        pytest.param(_levels(2, 4), id="too_many_levels"),
+        pytest.param(_levels(3, 3), id="wrong_ground_size"),
+        pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros((2, 3)))), id="wrong_shape"),
+        pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros(4))), id="flattened_level"),
+        pytest.param(_broken(lambda t: t.__setitem__(0, np.ones(()))), id="nonzero_empty"),
+        pytest.param(_broken(lambda t: t[1].__setitem__(1, np.nan)), id="nan"),
+        pytest.param(_broken(lambda t: t[3].__setitem__((0, 1, 0), np.inf)), id="inf"),
+        pytest.param(_broken(lambda t: t[2].__setitem__((1, 1), -np.inf)), id="minus_inf"),
+    ],
+)
+def test_carried_tables_are_validated(tables):
+    with pytest.raises(ValueError):
+        StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3, tables=tables)
+
+
+def test_carried_tables_are_stored_read_only():
+    levels = _levels(2, 3)
+    f = StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3, tables=levels)
+    assert isinstance(f.tables, tuple)
+    for stored in f.tables:
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[...] = 1.0
+    # The caller's arrays are copied, not frozen in place.
+    levels[1][0] = 5.0
+    assert f.tables[1][0] == 1.0
+    plain = StringObjective(evaluate=f.evaluate, ground_size=2, horizon=3)
+    assert f == plain
+    assert repr(f) == repr(plain)
