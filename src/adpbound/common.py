@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 # Strings, or noise paths, one exhaustive enumeration may evaluate.  Each
 # operation counts its enumerations from the problem sizes before any work.
 DEFAULT_BUDGET = 1_000_000
 
-# Comparison tolerance for certified numeric checks.
+# Comparison tolerance for certified numeric checks; see ``table_tol`` for
+# the checks over value tables, which scale it.
 VALUE_TOL = 1e-12
 
-# Curvature terms whose denominator is at or below this are skipped, not treated as inf.
+# Curvature terms whose denominator is at or below this, scaled by ``table_tol``,
+# are skipped, not treated as inf.
 DENOM_TOL = 1e-12
 
 # |eta| at or below this threshold uses the analytic small-eta limit of the bound formulas.
@@ -57,3 +63,19 @@ def values_agree(a: float, b: float) -> bool:
     of significant digits rather than to a fixed number of decimal places.
     """
     return abs(a - b) <= VALUE_TOL * max(1.0, abs(a), abs(b))
+
+
+def table_tol(tol: float, tables: Sequence[np.ndarray]) -> float:
+    """``tol`` scaled to the largest |f| over a set of value tables.
+
+    Returns ``tol * max(1, s)`` with s the largest |f| in ``tables``, so the
+    checks that compare differences of table values (the prefix-monotone
+    slack, the diminishing-return gains and the forward-curvature skip
+    threshold) give the same verdicts when every value is scaled by a power
+    of two, and keep the absolute ``tol`` on tables of values up to 1.  The
+    ratio-against-bound assertions compare a ratio, which has no scale, so
+    they keep ``VALUE_TOL`` as it is.
+    """
+    # max(t.max(), -t.min()) is max |t| without an elementwise copy.
+    scale = max(max(float(t.max()), -float(t.min())) for t in tables)
+    return tol * max(1.0, scale)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .mdp import MdpModel, PolicyString
-from .stringopt import StringObjective
+from .stringopt import StringObjective, table_objective
 
 __all__ = [
     "GeneratedInstanceSpec",
@@ -91,19 +91,7 @@ def _table_objective(
     for length in range(1, horizon + 1):
         values = extend(np.repeat(levels[-1].ravel(), ground_size))
         levels.append(values.reshape((ground_size,) * length))
-    for level in levels:
-        level.setflags(write=False)
-
-    def evaluate(string: tuple[int, ...]) -> float:
-        # Checked here because numpy would wrap a negative action around.
-        string = tuple(string)
-        if len(string) > horizon or not all(0 <= a < ground_size for a in string):
-            raise ValueError(f"string {string!r} is not in the generated table")
-        return float(levels[len(string)][string])
-
-    return StringObjective(
-        evaluate=evaluate, ground_size=ground_size, horizon=horizon, tables=levels
-    )
+    return table_objective(levels)
 
 
 def _monotone_marginals_objective(

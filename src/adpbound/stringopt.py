@@ -41,6 +41,7 @@ from .common import (
     UndefinedCurvatureError,
     ensure_budget,
     strings_up_to,
+    table_tol,
 )
 
 ActionString = tuple[int, ...]
@@ -48,6 +49,7 @@ ActionString = tuple[int, ...]
 __all__ = [
     "ActionString",
     "StringObjective",
+    "table_objective",
     "GreedyTrace",
     "CurvatureReport",
     "InequalityCheck",
@@ -88,11 +90,11 @@ class StringObjective:
             raise ValueError("ground set must contain at least one action")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.tables is not None:
+            object.__setattr__(self, "tables", self._checked_tables(self.tables))
         empty = float(self.evaluate(()))
         if empty != 0.0:
             raise ValueError(f"objective must map the empty string to 0, got {empty}")
-        if self.tables is not None:
-            object.__setattr__(self, "tables", self._checked_tables(self.tables))
 
     def _checked_tables(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         levels = tuple(_read_only(level) for level in tables)
@@ -115,6 +117,33 @@ def _read_only(level: np.ndarray) -> np.ndarray:
         array = array.copy()
         array.setflags(write=False)
     return array
+
+
+def table_objective(levels: Sequence[np.ndarray]) -> StringObjective:
+    """The string objective whose values are ``levels``, one per length 0..K.
+
+    Level ``n`` holds f on every string of length ``n``, shape ``(m,) * n``;
+    K and m are read off the levels.  The levels are marked read-only in
+    place and carried without a copy.  ``evaluate`` looks a string up in
+    them and raises ``ValueError`` for a string longer than K or an action
+    outside 0..m-1, which numpy would otherwise wrap around.
+    """
+    levels = tuple(np.asarray(level, dtype=float) for level in levels)
+    for level in levels:
+        level.setflags(write=False)
+    horizon = len(levels) - 1
+    # A malformed level 1 is reported by the table validation.
+    ground_size = len(levels[1]) if horizon >= 1 and levels[1].ndim == 1 else 1
+
+    def evaluate(string: ActionString) -> float:
+        string = tuple(string)
+        if len(string) > horizon or not all(0 <= a < ground_size for a in string):
+            raise ValueError(f"string {string!r} is not in the table")
+        return float(levels[len(string)][string])
+
+    return StringObjective(
+        evaluate=evaluate, ground_size=ground_size, horizon=horizon, tables=levels
+    )
 
 
 @dataclass(frozen=True)
@@ -300,6 +329,7 @@ def _prefix_monotone(
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString]], float]:
     witness: Optional[tuple[ActionString, ActionString]] = None
     worst = math.inf
+    tol = table_tol(VALUE_TOL, tables)
     for length in range(1, len(tables)):
         # first_cut[s]: the shortest prefix that string s is worth less than, or length.
         first_cut = np.full(np.shape(tables[length]), length)
@@ -307,7 +337,7 @@ def _prefix_monotone(
             # slack[s] = f(s) - f(s[:cut]), what extending the prefix of length cut to s gains.
             slack = tables[length] - _expand(tables[cut], cut, length - cut)
             worst = min(worst, float(slack.min()))
-            first_cut[slack < -VALUE_TOL] = cut
+            first_cut[slack < -tol] = cut
         string = _first(first_cut < length) if witness is None else None
         if string is not None:
             witness = (string[: first_cut[string]], string)
@@ -323,7 +353,8 @@ def check_prefix_monotone(
 
     Checks every pair (prefix, string) with string length up to ``horizon``,
     including the empty prefix (so nonnegativity is covered): the slack
-    f(string) - f(prefix) must not fall below ``-VALUE_TOL``.  Returns
+    f(string) - f(prefix) must not fall below ``-VALUE_TOL``, scaled to the
+    values by :func:`~adpbound.common.table_tol`.  Returns
     ``(ok, witness, worst_slack)``: the witness is the first violating pair,
     ordered by string length, then string, then prefix length, or None;
     ``worst_slack`` is the minimum slack over every pair.
@@ -336,8 +367,9 @@ def _diminishing_return(
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString, int]]]:
     # gains[n][s + (a,)] = f(s + (a,)) - f(s) for every string s of length n.
     gains = [tables[n + 1] - _expand(tables[n], n, 1) for n in range(len(tables) - 1)]
+    tol = table_tol(VALUE_TOL, tables)
     for length in range(1, len(gains)):
-        limit = gains[length] - VALUE_TOL
+        limit = gains[length] - tol
         # Axes of violated: prefix length cut, the longer string, the action.
         violated = np.stack(
             [_expand(gains[cut], cut, length - cut) < limit for cut in range(length)]
@@ -358,7 +390,8 @@ def check_diminishing_return(
     """Exhaustively test whether marginal gains can grow along prefix extensions.
 
     For every prefix pair M of N with |N| <= horizon - 1 and every action a,
-    requires gain of a at M >= gain of a at N.  Returns a witness (M, N, a)
+    requires gain of a at M >= gain of a at N, up to ``VALUE_TOL`` scaled to
+    the values by :func:`~adpbound.common.table_tol`.  Returns a witness (M, N, a)
     on failure, the first by length of N, then N, then length of M, then a.
     """
     return _diminishing_return(_tables(f, horizon, budget))
@@ -405,6 +438,7 @@ def total_curvature_eta(
 def _sigma(tables: list[np.ndarray], trace: GreedyTrace, horizon: int) -> tuple[float, int]:
     best = -math.inf
     skipped = 0
+    threshold = table_tol(DENOM_TOL, tables)
     for i in range(horizon):
         head = trace.string[:i]
         # gain[a] = f(G_{1:i} + (a,)) - f(G_{1:i}), the one-step gain of action a.
@@ -412,7 +446,7 @@ def _sigma(tables: list[np.ndarray], trace: GreedyTrace, horizon: int) -> tuple[
         for j in range(i + 1, horizon + 1):
             # denom[b] = f(G_{1:i} + b) - f(G_{1:i} + b[:-1]) for every block b of length j - i.
             denom = tables[j][head] - _expand(tables[j - 1][head], j - i - 1, 1)
-            kept = ~(denom <= DENOM_TOL)
+            kept = ~(denom <= threshold)
             skipped += denom.size - int(kept.sum())
             terms = 1.0 - np.broadcast_to(gain, denom.shape)[kept] / denom[kept]
             if terms.size:
@@ -433,7 +467,8 @@ def forward_curvature_sigma(
     For every greedy prefix G_{1:i}, block of appended actions, and block
     length, compares the one-step gain of the block's last action against the
     block's final marginal gain.  Terms whose denominator is at most
-    ``DENOM_TOL`` are skipped and counted.
+    ``DENOM_TOL``, scaled to the values by :func:`~adpbound.common.table_tol`,
+    are skipped and counted.
     """
     # The subtree under the empty greedy prefix is every string up to the horizon.
     return _sigma(_tables(f, horizon, budget), greedy, horizon)

@@ -13,14 +13,17 @@ optimum, whatever its tie-breaking, certified whenever the averaged
 surrogate is prefix-monotone.
 
 The scheme enters only through its W table.  The averaged surrogate averages
-realized paths (``_g_avg``), and the monotonicity certificate is the
-prefix-monotone check on the value tables the guarantee report builds from
-it; its independent route, a node-by-node walk of the policy-string tree,
-lives with the tests.
+realized paths (``_g_avg``) and keeps no values.  The bound report fills one
+numpy level table per string length from it, each policy string once, and
+hands the levels over as a table objective, which the Theorem 2 check and
+the guarantee report then read.  The monotonicity certificate is the
+prefix-monotone check on those tables; its independent route, a
+node-by-node walk of the policy-string tree, lives with the tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +48,10 @@ from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
+    _tables,
     check_prefix_monotone,
     greedy_guarantee_report,
+    table_objective,
 )
 
 __all__ = [
@@ -127,8 +132,10 @@ class PolicyStringObjective:
     """The averaged surrogate exposed as a string objective over policy indices.
 
     ``ground[i]`` is the stage policy named by action index ``i`` of the
-    adapter; ``objective.evaluate`` memoizes, so all downstream enumeration
-    shares one set of evaluations.
+    adapter.  From :func:`policy_string_objective`, ``objective.evaluate``
+    averages the surrogate afresh on every call and keeps nothing; a caller
+    that reads a string more than once tabulates it first, as
+    :func:`adp_bound_report` does.
     """
 
     surrogate: SurrogateObjective
@@ -143,15 +150,9 @@ def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> 
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
     ground = policy_ground_set(model)
     surrogate = SurrogateObjective(model=model, approximator=approximator)
-    memo: dict[tuple[int, ...], float] = {}
 
     def evaluate(indices: tuple[int, ...]) -> float:
-        indices = tuple(indices)
-        value = memo.get(indices)
-        if value is None:
-            value = _g_avg(surrogate, tuple(ground[i] for i in indices))
-            memo[indices] = value
-        return value
+        return _g_avg(surrogate, tuple(ground[i] for i in indices))
 
     objective = StringObjective(
         evaluate=evaluate, ground_size=len(ground), horizon=model.horizon
@@ -205,19 +206,19 @@ def check_stagewise_selection(
     its tie-breaking.  The attained value and the maximum are compared with
     :func:`values_agree`, since a tie the scheme resolved with r + W can
     round apart in the surrogate's sums.  Applied to the forward run's
-    induced stage policies this is the scheme's Theorem 2 identity.
+    induced stage policies this is the scheme's Theorem 2 identity.  Each
+    stage evaluates every candidate once, K * |ground| strings in all, and
+    reads the attained value among them.
     """
     prefix: tuple[int, ...] = ()
     evidence: list[StageEvidence] = []
     ev = obj.objective.evaluate
     for stage, policy in enumerate(policies, start=1):
-        best = -math.inf
-        for candidate in range(len(obj.ground)):
-            value = ev(prefix + (candidate,))
-            if value > best:
-                best = value
-        prefix = prefix + (obj.ground.index(policy),)
-        attained = ev(prefix)
+        values = [ev(prefix + (candidate,)) for candidate in range(len(obj.ground))]
+        best = max(values)
+        chosen = obj.ground.index(policy)
+        prefix = prefix + (chosen,)
+        attained = values[chosen]
         evidence.append(
             StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
         )
@@ -348,9 +349,12 @@ def adp_bound_report(
     """Run the whole certification pipeline for one scheme on one model.
 
     :func:`budget_preflight` runs first, so a budget failure comes before any
-    work.  The forward run is built once.  Its induced stage policies are the greedy
-    string certified on the averaged surrogate, so the curvatures are
-    measured along the scheme's own trajectory; the string-objective optimum
+    work.  The forward run is built once.  When the bound fits, the averaged
+    surrogate is tabulated once, every policy string of length 0..K, and the
+    Theorem 2 check and the guarantee report read those tables.  The forward
+    run's induced stage policies are the greedy string certified on the
+    averaged surrogate, so the curvatures are measured along the scheme's
+    own trajectory; the string-objective optimum
     is cross-checked against backward induction and the string's value
     against the forward run, each with :func:`values_agree`.  The
     monotonicity certificate and its worst slack are the curvature report's
@@ -372,6 +376,9 @@ def adp_bound_report(
     optimal_value = bellman_value
 
     obj = policy_string_objective(model, approximator)
+    if bound_fits:
+        levels = _tables(obj.objective, K, budget)
+        obj = dataclasses.replace(obj, objective=table_objective(levels))
     induced = induced_stage_policies(run, model)
     gps_ok, _ = check_stagewise_selection(obj, induced)
     identity_ok, _ = check_path_greedy(obj.surrogate, run)

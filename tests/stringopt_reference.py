@@ -65,6 +65,17 @@ def bruteforce(f: StringObjective, horizon: int) -> tuple[ActionString, float]:
     return best_string, best_value
 
 
+def table_tol(f: StringObjective, horizon: int, tol: float) -> float:
+    """``tol`` times max(1, largest |f| over every string of length 0..horizon)."""
+    ev = cached_evaluator(f)
+    scale = max(
+        abs(ev(string))
+        for length in range(horizon + 1)
+        for string in itertools.product(range(f.ground_size), repeat=length)
+    )
+    return tol * max(1.0, scale)
+
+
 def prefix_monotone(
     f: StringObjective, horizon: int, tol: float
 ) -> tuple[bool, Optional[tuple[ActionString, ActionString]], float]:

@@ -64,16 +64,19 @@ def monotonicity_certificate(
     w = approximator.evaluate
 
     worst = math.inf
+    scale = 0.0
 
     def recurse(
         prefix: tuple[MarkovPolicy, ...],
         dist: np.ndarray,
         history: list[tuple[float, float]],
     ) -> None:
-        nonlocal worst
+        nonlocal worst, scale
         n = len(prefix)
         if n > 0:
             cum_n, ew_n = history[n]
+            # g_n, whose largest |g_n| scales the tolerance as in the library.
+            scale = max(scale, abs(cum_n + (ew_n if n < K else 0.0)))
             for m in range(n):
                 cum_m, ew_m = history[m]
                 worst = min(worst, (cum_n - cum_m) - (ew_m - ew_n))
@@ -106,7 +109,7 @@ def monotonicity_certificate(
     start = np.zeros(S)
     start[model.initial_state] = 1.0
     recurse((), start, [(0.0, 0.0)])
-    return worst >= -VALUE_TOL, worst
+    return worst >= -VALUE_TOL * max(1.0, scale), worst
 
 
 @dataclass(frozen=True)

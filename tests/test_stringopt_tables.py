@@ -34,7 +34,8 @@ from adpbound import (
     optimal_string_bruteforce,
     total_curvature_eta,
 )
-from adpbound.common import DENOM_TOL, VALUE_TOL
+from adpbound.common import DENOM_TOL, VALUE_TOL, table_tol
+from adpbound.stringopt import table_objective
 
 
 class CountingObjective:
@@ -81,21 +82,23 @@ def test_tables_match_loop_reference(kind, ground, horizon, seed):
     assert trace == reference.greedy(f, horizon)
 
     assert optimal_string_bruteforce(f, horizon) == reference.bruteforce(f, horizon)
-    assert check_prefix_monotone(f, horizon) == reference.prefix_monotone(f, horizon, VALUE_TOL)
+    value_tol = reference.table_tol(f, horizon, VALUE_TOL)
+    assert check_prefix_monotone(f, horizon) == reference.prefix_monotone(f, horizon, value_tol)
     assert check_diminishing_return(f, horizon) == reference.diminishing_return(
-        f, horizon, VALUE_TOL
+        f, horizon, value_tol
     )
     eta = _outcome(total_curvature_eta, f, trace, horizon)
     assert eta == _outcome(reference.eta, f, trace, horizon)
     sigma = _outcome(forward_curvature_sigma, f, trace, horizon)
-    assert sigma == _outcome(reference.sigma, f, trace, horizon, DENOM_TOL)
+    denom_tol = reference.table_tol(f, horizon, DENOM_TOL)
+    assert sigma == _outcome(reference.sigma, f, trace, horizon, denom_tol)
 
     report = greedy_guarantee_report(f, horizon)
     assert report.greedy_value == trace.prefix_values[-1]
     assert report.optimal_value == reference.bruteforce(f, horizon)[1]
-    monotone, _, worst_slack = reference.prefix_monotone(f, horizon, VALUE_TOL)
+    monotone, _, worst_slack = reference.prefix_monotone(f, horizon, value_tol)
     assert (report.prefix_monotone, report.worst_slack) == (monotone, worst_slack)
-    assert report.diminishing_return == reference.diminishing_return(f, horizon, VALUE_TOL)[0]
+    assert report.diminishing_return == reference.diminishing_return(f, horizon, value_tol)[0]
     skipped = 0
     if eta == "undefined":
         assert "eta_undefined" in report.flags
@@ -133,7 +136,8 @@ def test_named_greedy_string_is_certified_along_itself(kind, ground, horizon, se
     report = greedy_guarantee_report(f, horizon, greedy=string)
     assert report.greedy_value == trace.prefix_values[-1]
     eta = _outcome(reference.eta, f, trace, horizon)
-    sigma = _outcome(reference.sigma, f, trace, horizon, DENOM_TOL)
+    denom_tol = reference.table_tol(f, horizon, DENOM_TOL)
+    sigma = _outcome(reference.sigma, f, trace, horizon, denom_tol)
     if eta == "undefined":
         assert "eta_undefined" in report.flags
     else:
@@ -159,10 +163,11 @@ def test_witnesses_match_loop_reference():
     found = 0
     for seed in range(20):
         f = _objective("random_string_fn", 3, 3, seed)
+        value_tol = reference.table_tol(f, 3, VALUE_TOL)
         ok, witness, worst_slack = check_prefix_monotone(f, 3)
-        assert (ok, witness, worst_slack) == reference.prefix_monotone(f, 3, VALUE_TOL)
+        assert (ok, witness, worst_slack) == reference.prefix_monotone(f, 3, value_tol)
         dr = check_diminishing_return(f, 3)
-        assert dr == reference.diminishing_return(f, 3, VALUE_TOL)
+        assert dr == reference.diminishing_return(f, 3, value_tol)
         found += (witness is not None) + (dr[1] is not None)
     assert found == 40
 
@@ -180,7 +185,7 @@ def test_skipped_terms_match_loop_reference(evaluate):
     trace = greedy_string(f, 3)
     assert _outcome(total_curvature_eta, f, trace, 3) == _outcome(reference.eta, f, trace, 3)
     assert _outcome(forward_curvature_sigma, f, trace, 3) == _outcome(
-        reference.sigma, f, trace, 3, DENOM_TOL
+        reference.sigma, f, trace, 3, reference.table_tol(f, 3, DENOM_TOL)
     )
 
 
@@ -323,3 +328,59 @@ def test_carried_tables_are_stored_read_only():
     plain = StringObjective(evaluate=f.evaluate, ground_size=2, horizon=3)
     assert f == plain
     assert repr(f) == repr(plain)
+
+
+def test_table_objective_carries_the_levels_it_is_given():
+    levels = _levels(2, 3)
+    f = table_objective(levels)
+    assert (f.ground_size, f.horizon) == (2, 3)
+    for stored, given in zip(f.tables, levels):
+        # Frozen in place, so the objective holds the caller's arrays, uncopied.
+        assert stored is given
+        assert not given.flags.writeable
+    assert f.evaluate((1, 0)) == 2.0
+    assert greedy_guarantee_report(f, 3) == greedy_guarantee_report(
+        StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3), 3
+    )
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        pytest.param(_levels(2, 0), id="no_strings"),
+        pytest.param(_broken(lambda t: t.__setitem__(1, np.zeros((2, 2)))), id="level_1_not_1d"),
+        pytest.param(_broken(lambda t: t.__setitem__(0, np.zeros(2))), id="nonscalar_empty"),
+    ],
+)
+def test_table_objective_validates_its_levels(levels):
+    # The sizes are read off the levels, so malformed ones must still be refused.
+    with pytest.raises(ValueError):
+        table_objective(levels)
+
+
+def test_table_tol_is_absolute_up_to_one_and_relative_above():
+    assert table_tol(1e-12, [np.zeros(()), np.array([0.25, -0.5])]) == 1e-12
+    assert table_tol(1e-12, [np.zeros(()), np.array([3.0, -2.0**20])]) == 1e-12 * 2.0**20
+    assert table_tol(1e-12, [np.zeros(()), np.array([[4.0, -1.0], [0.5, 0.0]])]) == 4e-12
+
+
+def _levels_with_rounded_ties() -> list[np.ndarray]:
+    # Three exact ties rounded one unit in the last place apart: f((0, 0))
+    # below f((0,)), the gain of action 1 after (0,) above its gain at the
+    # start, and f((1, 1)) above f((1,)), a forward-curvature denominator.
+    below_one = np.nextafter(1.0, 0.0)
+    above = np.nextafter(1.5, 2.0), np.nextafter(0.5, 1.0)
+    return [np.zeros(()), np.array([1.0, 0.5]), np.array([[below_one, above[0]], [0.75, above[1]]])]
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_checks_are_unchanged_by_scaling_with_a_power_of_two(k):
+    levels = _levels_with_rounded_ties()
+    f = table_objective(levels)
+    scaled = table_objective([level * 2.0**k for level in levels])
+    ok, witness, worst_slack = check_prefix_monotone(f, 2)
+    assert ok and worst_slack < 0.0
+    assert check_prefix_monotone(scaled, 2) == (ok, witness, worst_slack * 2.0**k)
+    assert check_diminishing_return(f, 2) == check_diminishing_return(scaled, 2) == (True, None)
+    sigma = forward_curvature_sigma(f, greedy_string(f, 2), 2)
+    assert forward_curvature_sigma(scaled, greedy_string(scaled, 2), 2) == sigma

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import adpbound.schemes
+import adpbound.surrogate
 import surrogate_reference as reference
 from adpbound import (
     EvtgApproximator,
@@ -48,7 +51,8 @@ from adpbound import (
     scheme_policy,
 )
 from adpbound.cli import main
-from adpbound.common import VALUE_TOL, values_agree
+from adpbound.common import DEFAULT_BUDGET, VALUE_TOL, strings_up_to, values_agree
+from adpbound.stringopt import _tables
 from conftest import schemes_for, zero_reward_model
 
 STAY_BASE = ((0, 0), (0, 0))
@@ -353,6 +357,67 @@ class TestBoundReport:
                      "--seed", "2", "--scheme", "rollout", "--out", str(tmp_path)]) == 0
         assert len(walks) == 3
 
+    @staticmethod
+    def count_averaged_values(monkeypatch):
+        # Every policy string averaged over noise; the empty string is worth 0
+        # without any averaging and is left out.
+        strings = []
+        original = adpbound.surrogate._g_avg
+
+        def counted(surrogate, policies):
+            if policies:
+                strings.append(policies)
+            return original(surrogate, policies)
+
+        monkeypatch.setattr(adpbound.surrogate, "_g_avg", counted)
+        return strings
+
+    @staticmethod
+    def generated_model(num_actions):
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=1, seed=5, num_states=3,
+                                     num_actions=num_actions, noise_size=2, horizon=3)
+        return generate_mdp_instances(spec)[0]
+
+    def test_each_policy_string_is_averaged_once(self, monkeypatch):
+        # The report tabulates the surrogate once; the Theorem 2 check and
+        # the guarantee report both read those tables.
+        model = self.generated_model(num_actions=2)
+        strings = self.count_averaged_values(monkeypatch)
+        report = adp_bound_report(model, myopic_w(model))
+        P, K = 2**3, model.horizon
+        assert report.curvature is not None and report.pdao_matches_gps
+        assert len(strings) == sum(P**n for n in range(1, K + 1))
+        assert len(set(strings)) == len(strings)
+
+    def test_unfitted_bound_and_check_equivalence_average_k_times_p(self, monkeypatch, tmp_path):
+        # Without tables, the Theorem 2 check reads each candidate once and
+        # takes the attained value from among them.
+        model = self.generated_model(num_actions=3)
+        P, K = 3**3, model.horizon
+        strings = self.count_averaged_values(monkeypatch)
+        report = adp_bound_report(model, myopic_w(model), budget=strings_up_to(P, K) - 1)
+        assert report.flags == ("bound_not_computed",) and report.pdao_matches_gps
+        assert len(strings) == K * P
+
+        strings.clear()
+        assert main(["check-equivalence", "--generate", "random_mdp", "--count", "1",
+                     "--seed", "5", "--states", "3", "--actions", "3", "--K", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert len(strings) == K * P
+
+    def test_report_keeps_no_second_copy_of_the_values(self):
+        # 20,440 policy strings take 0.16 MB as tables; a second copy in a
+        # dict keyed by tuples would take about 3 MB.
+        model = self.generated_model(num_actions=3)
+        scheme = myopic_w(model)
+        tracemalloc.start()
+        try:
+            adp_bound_report(model, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("scale", [1e4, 1e6, 2.0**20])
     @pytest.mark.parametrize("scheme", ["myopic", "rollout", "exact_evtg"])
     def test_value_cross_checks_scale_with_rewards(self, scale, scheme):
@@ -489,3 +554,27 @@ def test_relabelling_states_leaves_the_report_unchanged(case):
     assert values_agree(after.ratio, before.ratio)
     for report in (before, after):
         assert report.pdao_matches_gps and report.adp_matches_pdao
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@given(case=models_with_w_tables(max_strings=256, denominator=3), k=st.integers(0, 30))
+@settings(max_examples=100)
+def test_scaling_by_a_power_of_two_leaves_the_report_unchanged(case, k):
+    # Scaling rewards and W by 2^k scales every surrogate value exactly, so
+    # every scale-free field must come out bit for bit the same.  The
+    # tolerances are absolute for tables of values up to 1, hence the assume.
+    model, w = case
+    levels = _tables(policy_string_objective(model, w).objective, model.horizon, DEFAULT_BUDGET)
+    assume(max(float(np.abs(level).max()) for level in levels) >= 1.0)
+    factor = 2.0**k
+    scaled = (dataclasses.replace(model, reward=model.reward * factor),
+              EvtgApproximator(w.table * factor))
+    before = bound_report_to_dict(adp_bound_report(model, w))
+    after = bound_report_to_dict(adp_bound_report(*scaled))
+    for key in ("eta", "sigma", "ratio", "bound_finite_K", "bound_asymptotic",
+                "monotone_certificate", "flags", "skipped_terms"):
+        assert _same(after[key], before[key]), key
+    assert after["worst_slack"] / factor == before["worst_slack"]
