@@ -8,6 +8,10 @@ bound-adp         full certification pipeline for one scheme on one model
 verify-theorem1   guarantee sweep over generated string objectives
 check-equivalence scheme-identity checks (the forward run is path- and stage-wise greedy)
 
+Each command declares only the options it reads: --jobs belongs to the three
+sweep commands (bound-adp, verify-theorem1, check-equivalence), --strict to the
+first two, and solve-dp takes neither --budget nor --seed.
+
 Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 failed certified
 assertion, 5 degenerate instance under --strict.  Reports carry no
 timestamps, so a rerun with the same seed is byte-identical.
@@ -21,7 +25,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .generators import (
 from .mdp import MdpModel, bellman_solve, load_model, simulate_policy_mc
 from .reporting import csv_text, json_text, write_text_atomic
 from .schemes import adp_forward, make_scheme, scheme_policy
-from .stringopt import greedy_guarantee_report
+from .stringopt import StringObjective, greedy_guarantee_report
 from .surrogate import (
     adp_bound_report,
     bound_report_to_dict,
@@ -88,23 +92,30 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=nonnegative_int, default=DEFAULT_BUDGET,
-                        help="most strings or noise paths one exhaustive enumeration may "
-                             "evaluate; counts, not time")
-    parser.add_argument("--seed", type=nonnegative_int, default=0,
-                        help="root seed for all randomness")
-    parser.add_argument("--out", type=str, default=None,
-                        help="report file (or directory for sweeps); stdout if omitted")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 5 when any report carries a degenerate-instance flag")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweep instances")
+# Options shared between commands; each command names the ones it reads.
+SHARED_OPTIONS = {
+    "--budget": dict(type=nonnegative_int, default=DEFAULT_BUDGET,
+                     help="most strings or noise paths one exhaustive enumeration may "
+                          "evaluate; counts, not time"),
+    "--seed": dict(type=nonnegative_int, default=0, help="root seed for all randomness"),
+    "--out": dict(type=str, default=None,
+                  help="report file (or directory for sweeps); stdout if omitted"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--strict": dict(action="store_true",
+                     help="exit 5 when any report carries a degenerate-instance flag"),
+    "--jobs": dict(type=positive_int, default=1, help="parallel workers for sweep instances"),
+}
 
 
-def _add_model_scheme(parser: argparse.ArgumentParser, scheme_required: bool) -> None:
-    parser.add_argument("--model", type=str, default=None, help="model file (JSON)")
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **SHARED_OPTIONS[name])
+
+
+def _add_model_scheme(parser: argparse.ArgumentParser, model_required: bool,
+                      scheme_required: bool) -> None:
+    parser.add_argument("--model", type=str, required=model_required, default=None,
+                        help="model file (JSON)")
     parser.add_argument("--scheme", choices=SCHEME_NAMES, required=scheme_required,
                         default=None if scheme_required else "myopic")
     parser.add_argument("--base-policy", dest="base_policy", type=str, default=None,
@@ -134,22 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve-dp", help="backward induction on a model file")
     solve.add_argument("--model", type=str, required=True)
     solve.add_argument("--K", dest="horizon", type=positive_int, default=None)
-    _add_common(solve)
+    _add_shared(solve, "--out", "--format")
     solve.set_defaults(func=cmd_solve_dp)
 
     run = sub.add_parser("run-adp", help="roll a scheme forward on a model file")
-    _add_model_scheme(run, scheme_required=True)
-    mode = run.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact expectation (default)")
-    mode.add_argument("--mc", type=positive_int, default=None, metavar="SAMPLES",
-                      help="seeded Monte Carlo estimate instead of enumeration")
-    _add_common(run)
+    _add_model_scheme(run, model_required=True, scheme_required=True)
+    run.add_argument("--mc", type=positive_int, default=None, metavar="SAMPLES",
+                     help="seeded Monte Carlo estimate instead of the exact expectation")
+    _add_shared(run, "--budget", "--seed", "--out", "--format")
     run.set_defaults(func=cmd_run_adp)
 
     bound = sub.add_parser("bound-adp", help="certified performance bound for a scheme")
-    _add_model_scheme(bound, scheme_required=True)
+    _add_model_scheme(bound, model_required=False, scheme_required=True)
     _add_mdp_generate(bound)
-    _add_common(bound)
+    _add_shared(bound, *SHARED_OPTIONS)
     bound.set_defaults(func=cmd_bound_adp)
 
     verify = sub.add_parser("verify-theorem1",
@@ -158,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--count", type=positive_int, default=1)
     verify.add_argument("--K", dest="horizon", type=positive_int, default=4)
     verify.add_argument("--ground-size", dest="ground_size", type=positive_int, default=3)
-    _add_common(verify)
+    _add_shared(verify, *SHARED_OPTIONS)
     verify.set_defaults(func=cmd_verify_theorem1)
 
     check = sub.add_parser("check-equivalence",
                            help="check the forward run against the surrogate")
-    _add_model_scheme(check, scheme_required=False)
+    _add_model_scheme(check, model_required=False, scheme_required=False)
     _add_mdp_generate(check)
-    _add_common(check)
+    _add_shared(check, "--budget", "--seed", "--out", "--format", "--jobs")
     check.set_defaults(func=cmd_check_equivalence)
 
     return parser
@@ -269,18 +278,26 @@ def _emit_sweep(reports: list[dict], args: argparse.Namespace) -> None:
     write_text_atomic(outdir / "index.csv", csv_text(index_rows))
 
 
-def _map_jobs(worker: Callable[[int], dict], count: int, jobs: int) -> list[dict]:
-    if jobs <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(count)))
+def _sweep(args: argparse.Namespace, instances: Sequence, worker: Callable[[int, Any], dict],
+           strict: bool = False, checked: tuple[str, ...] = ()) -> int:
+    """Map ``worker(index, instance)`` over the instances, emit the reports, return the exit code.
 
-
-def _strict_exit(reports: list[dict], strict: bool) -> int:
-    if strict:
-        for report in reports:
-            if set(report.get("flags", ())) & DEGENERATE_FLAGS:
-                return EXIT_DEGENERATE
+    The exit code is 4 when a report is false under a ``checked`` key, else 5
+    when ``strict`` and a report carries a degenerate flag, else 0.
+    """
+    if args.jobs == 1:
+        reports = [worker(i, instance) for i, instance in enumerate(instances)]
+    else:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(pool.map(worker, range(len(instances)), instances))
+    if args.generate is None:
+        _emit_single(reports[0], args)
+    else:
+        _emit_sweep(reports, args)
+    if not all(report[key] for report in reports for key in checked):
+        return EXIT_ASSERTION
+    if strict and any(set(report["flags"]) & DEGENERATE_FLAGS for report in reports):
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 
@@ -300,8 +317,6 @@ def cmd_solve_dp(args: argparse.Namespace) -> int:
 
 
 def cmd_run_adp(args: argparse.Namespace) -> int:
-    if args.model is None:
-        raise ModelFormatError("run-adp requires --model")
     model = _load_model_with_horizon(args.model, args.horizon)
     scheme = _scheme_for(model, args)
     report: dict = {"command": "run-adp", "scheme": args.scheme}
@@ -332,19 +347,11 @@ def cmd_run_adp(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_adp(args: argparse.Namespace) -> int:
-    models = _models_for(args)
-
-    def worker(index: int) -> dict:
-        model = models[index]
+    def worker(index: int, model: MdpModel) -> dict:
         scheme = _scheme_for(model, args, index=index)
         return bound_report_to_dict(adp_bound_report(model, scheme, budget=args.budget))
 
-    reports = _map_jobs(worker, len(models), args.jobs)
-    if len(models) == 1 and args.generate is None:
-        _emit_single(reports[0], args)
-    else:
-        _emit_sweep(reports, args)
-    return _strict_exit(reports, args.strict)
+    return _sweep(args, _models_for(args), worker, strict=args.strict)
 
 
 def cmd_verify_theorem1(args: argparse.Namespace) -> int:
@@ -355,10 +362,9 @@ def cmd_verify_theorem1(args: argparse.Namespace) -> int:
         ground_size=args.ground_size,
         horizon=args.horizon,
     )
-    instances = generate_string_instances(spec)
 
-    def worker(index: int) -> dict:
-        report = greedy_guarantee_report(instances[index], args.horizon, budget=args.budget)
+    def worker(index: int, objective: StringObjective) -> dict:
+        report = greedy_guarantee_report(objective, args.horizon, budget=args.budget)
         return {
             "instance": index,
             "kind": args.generate,
@@ -368,16 +374,11 @@ def cmd_verify_theorem1(args: argparse.Namespace) -> int:
             **curvature_report_to_dict(report),
         }
 
-    reports = _map_jobs(worker, len(instances), args.jobs)
-    _emit_sweep(reports, args)
-    return _strict_exit(reports, args.strict)
+    return _sweep(args, generate_string_instances(spec), worker, strict=args.strict)
 
 
 def cmd_check_equivalence(args: argparse.Namespace) -> int:
-    models = _models_for(args)
-
-    def worker(index: int) -> dict:
-        model = models[index]
+    def worker(index: int, model: MdpModel) -> dict:
         scheme = _scheme_for(model, args, index=index)
         budget_preflight(model, args.budget)
         obj = policy_string_objective(model, scheme)
@@ -395,14 +396,8 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
             "flags": [],
         }
 
-    reports = _map_jobs(worker, len(models), args.jobs)
-    if len(models) == 1 and args.generate is None:
-        _emit_single(reports[0], args)
-    else:
-        _emit_sweep(reports, args)
-    if not all(r["theorem2_verified"] and r["prop1_verified"] for r in reports):
-        return EXIT_ASSERTION
-    return _strict_exit(reports, args.strict)
+    return _sweep(args, _models_for(args), worker,
+                  checked=("theorem2_verified", "prop1_verified"))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -413,7 +408,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ModelFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ModelFormatError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

@@ -8,6 +8,7 @@ identical values.  Files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -83,8 +84,18 @@ def csv_text(rows) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it onto ``path``.
+
+    If the write or the rename fails, the temp file is removed and the error
+    re-raised, so a failed write leaves nothing behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise

@@ -167,10 +167,10 @@ class CurvatureReport:
 
     ``bound_finite_K`` is the horizon-K guarantee and ``bound_asymptotic`` its
     large-horizon limit; both are NaN when the underlying curvature maximum
-    had no valid terms (see ``flags``).  ``ratio`` is greedy/optimal, reported
-    as 1 with a flag when both values are 0.  ``worst_slack`` is the
-    minimum of f(s) - f(prefix) over every string and prefix, the margin by
-    which ``prefix_monotone`` holds or fails.
+    had no valid terms (see ``flags``).  ``ratio`` is greedy/optimal; a zero
+    optimum is flagged and gives 1 when the greedy value is 0 too, NaN
+    otherwise.  ``worst_slack`` is the minimum of f(s) - f(prefix) over every
+    string and prefix, the margin by which ``prefix_monotone`` holds or fails.
     """
 
     eta: float
@@ -505,6 +505,19 @@ def asymptotic_curvature_bound(eta: float, sigma: float) -> float:
     return (1.0 - decayed) / eta
 
 
+def _ratio(value: float, optimal_value: float, flags: list[str]) -> float:
+    """``value / optimal_value``, the achieved fraction of the optimum.
+
+    A zero optimum appends ``degenerate_zero_optimum`` to ``flags`` (once) and
+    gives 1 when ``value`` is 0 too, and NaN otherwise.
+    """
+    if optimal_value != 0.0:
+        return value / optimal_value
+    if "degenerate_zero_optimum" not in flags:
+        flags.append("degenerate_zero_optimum")
+    return 1.0 if value == 0.0 else math.nan
+
+
 def greedy_guarantee_report(
     f: StringObjective,
     horizon: int,
@@ -574,11 +587,7 @@ def greedy_guarantee_report(
         bound_finite = math.nan
         bound_asymptotic = math.nan
 
-    if optimal_value == 0.0 and greedy_value == 0.0:
-        ratio = 1.0
-        flags.append("degenerate_zero_optimum")
-    else:
-        ratio = greedy_value / optimal_value
+    ratio = _ratio(greedy_value, optimal_value, flags)
 
     if monotone and not math.isnan(bound_finite) and ratio < bound_finite - VALUE_TOL:
         raise GuaranteeViolationError(

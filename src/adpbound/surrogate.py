@@ -48,6 +48,7 @@ from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
+    _ratio,
     _tables,
     check_prefix_monotone,
     greedy_guarantee_report,
@@ -402,12 +403,7 @@ def adp_bound_report(
             )
     monotone = curvature is not None and curvature.prefix_monotone
 
-    if optimal_value == 0.0 and adp_value == 0.0:
-        ratio = 1.0
-        if "degenerate_zero_optimum" not in flags:
-            flags.append("degenerate_zero_optimum")
-    else:
-        ratio = adp_value / optimal_value
+    ratio = _ratio(adp_value, optimal_value, flags)
 
     if (
         monotone

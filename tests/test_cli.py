@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -21,7 +22,7 @@ from adpbound import (
     save_model,
     scheme_policy,
 )
-from adpbound.cli import main
+from adpbound.cli import build_parser, main
 from adpbound.common import values_agree
 from conftest import chain_model, zero_reward_model
 
@@ -114,7 +115,7 @@ class TestRunAdp:
                 "--base-policy", str(base), "--budget", "10"]
         assert main(args + ["--mc", "1000", "--out", str(tmp_path / "mc.json")]) == 0
         assert read_json(tmp_path / "mc.json")["mc_samples"] == 1000
-        assert main(args + ["--exact", "--out", str(tmp_path / "exact.json")]) == 3
+        assert main(args + ["--out", str(tmp_path / "exact.json")]) == 3
 
 
 class TestBoundAdp:
@@ -275,6 +276,58 @@ class TestReachedTies:
             assert report["ratio"] >= report["bound_finite_K"] - 1e-12
 
 
+class TestOptions:
+    """Each command declares only the options it reads."""
+
+    OPTIONS = {
+        "solve-dp": {"--model", "--K", "--out", "--format"},
+        "run-adp": {"--model", "--scheme", "--base-policy", "--theta", "--K", "--mc",
+                    "--budget", "--seed", "--out", "--format"},
+        "bound-adp": {"--model", "--scheme", "--base-policy", "--theta", "--K", "--generate",
+                      "--count", "--states", "--actions", "--noise", "--budget", "--seed",
+                      "--out", "--format", "--strict", "--jobs"},
+        "verify-theorem1": {"--generate", "--count", "--K", "--ground-size", "--budget",
+                            "--seed", "--out", "--format", "--strict", "--jobs"},
+        "check-equivalence": {"--model", "--scheme", "--base-policy", "--theta", "--K",
+                              "--generate", "--count", "--states", "--actions", "--noise",
+                              "--budget", "--seed", "--out", "--format", "--jobs"},
+    }
+
+    def test_each_command_declares_its_option_set(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        declared = {
+            name: [option for action in sub._actions for option in action.option_strings
+                   if option not in ("-h", "--help")]
+            for name, sub in commands.items()
+        }
+        assert {name: set(options) for name, options in declared.items()} == self.OPTIONS
+        assert sum(len(options) for options in declared.values()) == 55
+
+    REQUIRED = {
+        "solve-dp": ["--model", "unused.json"],
+        "run-adp": ["--model", "unused.json", "--scheme", "myopic"],
+        "check-equivalence": ["--generate", "random_mdp"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("solve-dp", "--budget 0"),
+            ("solve-dp", "--seed 9"),
+            ("solve-dp", "--strict"),
+            ("solve-dp", "--jobs 7"),
+            ("run-adp", "--exact"),
+            ("run-adp", "--strict"),
+            ("run-adp", "--jobs 3"),
+            ("check-equivalence", "--strict"),
+        ],
+    )
+    def test_removed_option_is_a_parse_error(self, command, option, capsys):
+        assert main([command, *self.REQUIRED[command], *option.split()]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_parse_error_for_corrupt_model(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -302,6 +355,7 @@ class TestExitCodes:
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--seed", "-1"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--seed", "-1"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--budget", "-1"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--jobs", "0"],
         ],
     )
     def test_parse_error_for_sizes_below_one(self, args, capsys):
@@ -345,6 +399,26 @@ class TestExitCodes:
         theta.write_text(json.dumps(table))
         assert main(["run-adp", "--model", chain_file, "--scheme", "linearq",
                      "--theta", str(theta)]) == 2
+
+    def test_output_file_in_place_of_a_sweep_directory(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["bound-adp", "--generate", "random_mdp", "--count", "2", "--scheme",
+                     "myopic", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_directory_under_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["verify-theorem1", "--generate", "coverage_submodular", "--count", "1",
+                     "--out", str(taken / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_write_leaves_no_temp_file(self, chain_file, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["solve-dp", "--model", chain_file, "--out", str(taken)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "taken"]
 
     def test_budget_exceeded(self, chain_file):
         assert main(["bound-adp", "--model", chain_file, "--scheme", "myopic",

@@ -242,6 +242,17 @@ class TestGuaranteeReport:
         assert "sigma_undefined" in report.flags
         assert math.isnan(report.bound_finite_K)
 
+    def test_zero_optimum_below_a_negative_greedy_value(self):
+        # Greedy picks 0 (f = 1), then ties at -1: greedy (0, 0) = -1, while
+        # the optimum (1, 1) = 0, so greedy/optimal has no value.
+        values = {(): 0.0, (0,): 1.0, (1,): 0.0, (0, 0): -1.0, (0, 1): -1.0,
+                  (1, 0): -2.0, (1, 1): 0.0}
+        f = StringObjective(evaluate=values.__getitem__, ground_size=2, horizon=2)
+        report = greedy_guarantee_report(f, 2)
+        assert (report.greedy_value, report.optimal_value) == (-1.0, 0.0)
+        assert math.isnan(report.ratio)
+        assert report.flags == ("degenerate_zero_optimum",)
+
     def test_single_stage_horizon(self):
         report = greedy_guarantee_report(distinct_objective(2, 1), 1)
         assert report.ratio == 1.0
