@@ -4,16 +4,20 @@ Commands
 --------
 solve-dp          backward induction: value tables and the optimal policy
 run-adp           roll a scheme forward (exact expectation or seeded Monte Carlo)
-bound-adp         full certification pipeline for one scheme on one model
+bound-adp         certify one scheme: exact values, the curvature bound, the
+                  monotonicity certificate and the scheme identities
+                  (the forward run is path- and stage-wise greedy)
 verify-theorem1   guarantee sweep over generated string objectives
-check-equivalence scheme-identity checks (the forward run is path- and stage-wise greedy)
 
-Each command declares only the options it reads: --jobs belongs to the three
-sweep commands (bound-adp, verify-theorem1, check-equivalence), --strict to the
-first two, and solve-dp takes neither --budget nor --seed.
+Each command declares only the options it reads: --jobs and --strict belong to
+the two sweep commands (bound-adp, verify-theorem1), and solve-dp takes
+neither --budget nor --seed.  An option the command would ignore is a parse
+error: --theta without --scheme linearq, --base-policy without --scheme
+rollout, and --count, --states, --actions or --noise without --generate.
 
 Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 failed certified
-assertion, 5 degenerate instance under --strict.  Reports carry no
+assertion (bound-adp also exits 4 when its forward run fails the Theorem 2 or
+Proposition 1 check), 5 degenerate instance under --strict.  Reports carry no
 timestamps, so a rerun with the same seed is byte-identical.
 """
 
@@ -48,16 +52,7 @@ from .mdp import MdpModel, bellman_solve, load_model, simulate_policy_mc
 from .reporting import csv_text, json_text, write_text_atomic
 from .schemes import adp_forward, make_scheme, scheme_policy
 from .stringopt import StringObjective, greedy_guarantee_report
-from .surrogate import (
-    adp_bound_report,
-    bound_report_to_dict,
-    budget_preflight,
-    check_path_greedy,
-    check_stagewise_selection,
-    curvature_report_to_dict,
-    induced_stage_policies,
-    policy_string_objective,
-)
+from .surrogate import adp_bound_report, bound_report_to_dict, curvature_report_to_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,6 +61,9 @@ EXIT_ASSERTION = 4
 EXIT_DEGENERATE = 5
 
 SCHEME_NAMES = ("myopic", "rollout", "linearq", "exact_evtg")
+
+# The sizes of generated models and their defaults; each needs --generate.
+GENERATE_SIZES = {"count": 1, "states": 2, "actions": 2, "noise": 2}
 
 # Flags that mark an instance as degenerate for --strict escalation.
 DEGENERATE_FLAGS = {
@@ -112,27 +110,14 @@ def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **SHARED_OPTIONS[name])
 
 
-def _add_model_scheme(parser: argparse.ArgumentParser, model_required: bool,
-                      scheme_required: bool) -> None:
-    parser.add_argument("--model", type=str, required=model_required, default=None,
-                        help="model file (JSON)")
-    parser.add_argument("--scheme", choices=SCHEME_NAMES, required=scheme_required,
-                        default=None if scheme_required else "myopic")
+def _add_scheme(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scheme", choices=SCHEME_NAMES, required=True)
     parser.add_argument("--base-policy", dest="base_policy", type=str, default=None,
                         help="JSON [stage][state] action table for the rollout base")
     parser.add_argument("--theta", type=str, default=None,
                         help="JSON [action][dim] weight table for linearq")
     parser.add_argument("--K", dest="horizon", type=positive_int, default=None,
                         help="override the model horizon")
-
-
-def _add_mdp_generate(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--generate", choices=("random_mdp",), default=None,
-                        help="generate models instead of reading --model")
-    parser.add_argument("--count", type=positive_int, default=1)
-    parser.add_argument("--states", type=positive_int, default=2)
-    parser.add_argument("--actions", type=positive_int, default=2)
-    parser.add_argument("--noise", type=positive_int, default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,15 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve_dp)
 
     run = sub.add_parser("run-adp", help="roll a scheme forward on a model file")
-    _add_model_scheme(run, model_required=True, scheme_required=True)
+    run.add_argument("--model", type=str, required=True, help="model file (JSON)")
+    _add_scheme(run)
     run.add_argument("--mc", type=positive_int, default=None, metavar="SAMPLES",
                      help="seeded Monte Carlo estimate instead of the exact expectation")
     _add_shared(run, "--budget", "--seed", "--out", "--format")
     run.set_defaults(func=cmd_run_adp)
 
     bound = sub.add_parser("bound-adp", help="certified performance bound for a scheme")
-    _add_model_scheme(bound, model_required=False, scheme_required=True)
-    _add_mdp_generate(bound)
+    source = bound.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", type=str, default=None, help="model file (JSON)")
+    source.add_argument("--generate", choices=("random_mdp",), default=None,
+                        help="generate models instead of reading --model")
+    _add_scheme(bound)
+    for name, default in GENERATE_SIZES.items():
+        bound.add_argument(f"--{name}", type=positive_int, default=None,
+                           help=f"with --generate (default {default})")
     _add_shared(bound, *SHARED_OPTIONS)
     bound.set_defaults(func=cmd_bound_adp)
 
@@ -170,14 +162,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(verify, *SHARED_OPTIONS)
     verify.set_defaults(func=cmd_verify_theorem1)
 
-    check = sub.add_parser("check-equivalence",
-                           help="check the forward run against the surrogate")
-    _add_model_scheme(check, model_required=False, scheme_required=False)
-    _add_mdp_generate(check)
-    _add_shared(check, "--budget", "--seed", "--out", "--format", "--jobs")
-    check.set_defaults(func=cmd_check_equivalence)
-
     return parser
+
+
+def _ignored_option(args: argparse.Namespace) -> Optional[str]:
+    """Say why a given option would go unread by the command, or None if none would."""
+    options = vars(args)
+    if options.get("theta") is not None and args.scheme != "linearq":
+        return "--theta is read only by --scheme linearq"
+    if options.get("base_policy") is not None and args.scheme != "rollout":
+        return "--base-policy is read only by --scheme rollout"
+    if options.get("model") is not None:
+        for name in GENERATE_SIZES:
+            if options.get(name) is not None:
+                return f"--{name} is read only with --generate"
+    return None
 
 
 def _load_json_file(path: str):
@@ -233,20 +232,20 @@ def _scheme_for(model: MdpModel, args: argparse.Namespace, index: int = 0):
 
 
 def _models_for(args: argparse.Namespace) -> list[MdpModel]:
-    if args.generate is not None:
-        spec = GeneratedInstanceSpec(
-            kind="random_mdp",
-            count=args.count,
-            seed=args.seed,
-            horizon=args.horizon if args.horizon is not None else 2,
-            num_states=args.states,
-            num_actions=args.actions,
-            noise_size=args.noise,
-        )
-        return list(generate_mdp_instances(spec))
-    if args.model is None:
-        raise ModelFormatError("either --model or --generate is required")
-    return [_load_model_with_horizon(args.model, args.horizon)]
+    if args.generate is None:
+        return [_load_model_with_horizon(args.model, args.horizon)]
+    # Sizes are at least 1, so ``or`` fills in only the ones not given.
+    sizes = {name: getattr(args, name) or default for name, default in GENERATE_SIZES.items()}
+    spec = GeneratedInstanceSpec(
+        kind="random_mdp",
+        count=sizes["count"],
+        seed=args.seed,
+        horizon=args.horizon if args.horizon is not None else 2,
+        num_states=sizes["states"],
+        num_actions=sizes["actions"],
+        noise_size=sizes["noise"],
+    )
+    return list(generate_mdp_instances(spec))
 
 
 def _render(data, fmt: str) -> str:
@@ -351,7 +350,8 @@ def cmd_bound_adp(args: argparse.Namespace) -> int:
         scheme = _scheme_for(model, args, index=index)
         return bound_report_to_dict(adp_bound_report(model, scheme, budget=args.budget))
 
-    return _sweep(args, _models_for(args), worker, strict=args.strict)
+    return _sweep(args, _models_for(args), worker, strict=args.strict,
+                  checked=("theorem2_verified", "prop1_verified"))
 
 
 def cmd_verify_theorem1(args: argparse.Namespace) -> int:
@@ -377,33 +377,13 @@ def cmd_verify_theorem1(args: argparse.Namespace) -> int:
     return _sweep(args, generate_string_instances(spec), worker, strict=args.strict)
 
 
-def cmd_check_equivalence(args: argparse.Namespace) -> int:
-    def worker(index: int, model: MdpModel) -> dict:
-        scheme = _scheme_for(model, args, index=index)
-        budget_preflight(model, args.budget)
-        obj = policy_string_objective(model, scheme)
-        run = adp_forward(model, scheme, budget=args.budget)
-        gps_ok, evidence = check_stagewise_selection(obj, induced_stage_policies(run, model))
-        identity_ok, mismatches = check_path_greedy(obj.surrogate, run)
-        return {
-            "instance": index,
-            "scheme": args.scheme,
-            "theorem2_verified": gps_ok,
-            "prop1_verified": identity_ok,
-            "stage_gaps": [item.gap for item in evidence],
-            "max_stage_gap": max(item.gap for item in evidence),
-            "mismatched_paths": len(mismatches),
-            "flags": [],
-        }
-
-    return _sweep(args, _models_for(args), worker,
-                  checked=("theorem2_verified", "prop1_verified"))
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        ignored = _ignored_option(args)
+        if ignored is not None:
+            parser.error(ignored)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -621,11 +621,13 @@ def greedy_recursion_checks(
     Three families are checked numerically for a prefix-monotone objective:
     the first greedy value against its share of the optimum, the stage
     recursion linking consecutive greedy prefixes, and the fully chained
-    consequence of that recursion.  All must hold with slack >= -VALUE_TOL whenever
-    the guarantee itself holds, so a violation points at an implementation
-    bug rather than at the instance.
+    consequence of that recursion.  All must hold with slack >= -VALUE_TOL,
+    scaled to the values by :func:`~adpbound.common.table_tol`, whenever the
+    guarantee itself holds, so a violation points at an implementation bug
+    rather than at the instance.
     """
     tables = _tables(f, horizon, budget)
+    tol = table_tol(VALUE_TOL, tables)
     trace = _greedy(_lookup(tables), f.ground_size, horizon)
     _, optimal_value = _bruteforce(tables[horizon])
     eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
@@ -644,7 +646,7 @@ def greedy_recursion_checks(
             lhs=lhs,
             rhs=rhs,
             slack=lhs - rhs,
-            satisfied=lhs - rhs >= -VALUE_TOL,
+            satisfied=lhs - rhs >= -tol,
         )
     )
 
@@ -658,7 +660,7 @@ def greedy_recursion_checks(
                 lhs=lhs,
                 rhs=rhs,
                 slack=lhs - rhs,
-                satisfied=lhs - rhs >= -VALUE_TOL,
+                satisfied=lhs - rhs >= -tol,
             )
         )
 
@@ -674,7 +676,7 @@ def greedy_recursion_checks(
             lhs=lhs,
             rhs=chained,
             slack=lhs - chained,
-            satisfied=lhs - chained >= -VALUE_TOL,
+            satisfied=lhs - chained >= -tol,
         )
     )
     return tuple(checks)

@@ -312,7 +312,13 @@ def check_surrogate_monotonicity(
 
 @dataclass(frozen=True)
 class AdpBoundReport:
-    """Certified performance report for one (model, approximator) pair."""
+    """Certified performance report for one (model, approximator) pair.
+
+    ``stage_evidence`` is the Theorem 2 check's gap at every stage and
+    ``mismatched_paths`` the noise paths through a node where the
+    Proposition 1 check fails; both checks hold exactly when the forward run
+    is the greedy string the bound is measured along.
+    """
 
     curvature: Optional[CurvatureReport]
     optimal_value: float
@@ -322,6 +328,8 @@ class AdpBoundReport:
     worst_slack: float
     pdao_matches_gps: bool
     adp_matches_pdao: bool
+    stage_evidence: tuple[StageEvidence, ...]
+    mismatched_paths: tuple[tuple[int, ...], ...]
     flags: tuple[str, ...]
 
 
@@ -381,8 +389,8 @@ def adp_bound_report(
         levels = _tables(obj.objective, K, budget)
         obj = dataclasses.replace(obj, objective=table_objective(levels))
     induced = induced_stage_policies(run, model)
-    gps_ok, _ = check_stagewise_selection(obj, induced)
-    identity_ok, _ = check_path_greedy(obj.surrogate, run)
+    gps_ok, evidence = check_stagewise_selection(obj, induced)
+    identity_ok, mismatches = check_path_greedy(obj.surrogate, run)
 
     if not bound_fits:
         flags.append("bound_not_computed")
@@ -423,6 +431,8 @@ def adp_bound_report(
         worst_slack=math.nan if curvature is None else curvature.worst_slack,
         pdao_matches_gps=gps_ok,
         adp_matches_pdao=identity_ok,
+        stage_evidence=evidence,
+        mismatched_paths=mismatches,
         flags=tuple(flags),
     )
 
@@ -460,5 +470,8 @@ def bound_report_to_dict(report: AdpBoundReport) -> dict:
         "worst_slack": report.worst_slack,
         "theorem2_verified": report.pdao_matches_gps,
         "prop1_verified": report.adp_matches_pdao,
+        "stage_gaps": [item.gap for item in report.stage_evidence],
+        "max_stage_gap": max(item.gap for item in report.stage_evidence),
+        "mismatched_paths": len(report.mismatched_paths),
         "flags": list(report.flags),
     }

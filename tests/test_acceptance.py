@@ -194,7 +194,8 @@ def test_report_determinism(tmp_path):
         "run_mc": ["run-adp", "--model", str(chain_path), "--scheme", "myopic",
                    "--mc", "500", "--seed", "17"],
         "bound": ["bound-adp", "--model", str(chain_path), "--scheme", "myopic"],
-        "check": ["check-equivalence", "--model", str(chain_path), "--scheme", "myopic"],
+        "bound_unfitted": ["bound-adp", "--model", str(chain_path), "--scheme", "myopic",
+                           "--budget", "10"],
     }
     for name, argv in commands.items():
         first = tmp_path / f"{name}_a.json"

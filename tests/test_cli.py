@@ -24,6 +24,7 @@ from adpbound import (
 )
 from adpbound.cli import build_parser, main
 from adpbound.common import values_agree
+from adpbound.schemes import AdpRun, walk_noise_tree
 from conftest import chain_model, zero_reward_model
 
 
@@ -199,22 +200,46 @@ class TestVerifyTheorem1:
 
 
 class TestCheckEquivalence:
+    """bound-adp checks that the forward run is the surrogate's greedy string."""
+
     def test_single_model(self, chain_file, tmp_path):
         out = tmp_path / "eq.json"
-        code = main(["check-equivalence", "--model", chain_file, "--scheme", "myopic",
+        code = main(["bound-adp", "--model", chain_file, "--scheme", "myopic",
                      "--out", str(out)])
         assert code == 0
         report = read_json(out)
         assert report["theorem2_verified"] is True
         assert report["prop1_verified"] is True
+        assert report["stage_gaps"] == [0.0, 0.0]
         assert report["max_stage_gap"] == 0.0
+        assert report["mismatched_paths"] == 0
 
     def test_generated_sweep_all_schemes(self, tmp_path):
         for scheme in ("myopic", "rollout", "linearq", "exact_evtg"):
-            code = main(["check-equivalence", "--generate", "random_mdp", "--count", "2",
+            code = main(["bound-adp", "--generate", "random_mdp", "--count", "2",
                          "--seed", "21", "--scheme", scheme, "--out",
                          str(tmp_path / scheme)])
             assert code == 0, scheme
+
+    def test_forward_run_that_is_not_greedy_exits_four(self, chain_file, tmp_path,
+                                                       monkeypatch):
+        # A forward run that follows the argmin of r + W is not greedy for
+        # the surrogate; the report is still written, with its evidence.
+        def argmin_forward(model, approximator, budget):
+            choice = (model.reward + approximator.table).argmin(axis=2)
+            records = walk_noise_tree(model, tuple(map(tuple, choice.tolist())))
+            return AdpRun(paths=records,
+                          expected_value=sum(r.probability * r.reward for r in records))
+
+        monkeypatch.setattr(adpbound.surrogate, "adp_forward", argmin_forward)
+        out = tmp_path / "bound.json"
+        assert main(["bound-adp", "--model", chain_file, "--scheme", "myopic",
+                     "--out", str(out)]) == 4
+        report = read_json(out)
+        assert report["theorem2_verified"] is False
+        assert report["prop1_verified"] is False
+        assert report["max_stage_gap"] > 0.0
+        assert report["mismatched_paths"] > 0
 
 
 class TestRoundedStageTie:
@@ -227,12 +252,11 @@ class TestRoundedStageTie:
         reward=[[2e6 / 3, 1e6], [1e6, 1e6], [2e6 / 3, 1e6 / 3]],
     )
 
-    @pytest.mark.parametrize("command", ["check-equivalence", "bound-adp"])
-    def test_tie_is_verified(self, tmp_path, command):
+    def test_tie_is_verified(self, tmp_path):
         save_model(self.MODEL, tmp_path / "model.json")
         out = tmp_path / "report.json"
-        assert main([command, "--model", str(tmp_path / "model.json"), "--scheme", "exact_evtg",
-                     "--out", str(out)]) == 0
+        assert main(["bound-adp", "--model", str(tmp_path / "model.json"), "--scheme",
+                     "exact_evtg", "--out", str(out)]) == 0
         report = read_json(out)
         assert report["theorem2_verified"] is True
         assert report["prop1_verified"] is True
@@ -247,7 +271,7 @@ class TestReachedTies:
     CASES = [
         ("bound-adp", 0, 257, 2, 2, "rollout"),
         ("bound-adp", 1, 57, 2, 3, "rollout"),
-        ("check-equivalence", 4, 112, 2, 2, "exact_evtg"),
+        ("bound-adp", 4, 112, 2, 2, "exact_evtg"),
     ]
 
     @pytest.mark.parametrize("command, seed, index, states, actions, scheme", CASES)
@@ -288,9 +312,6 @@ class TestOptions:
                       "--out", "--format", "--strict", "--jobs"},
         "verify-theorem1": {"--generate", "--count", "--K", "--ground-size", "--budget",
                             "--seed", "--out", "--format", "--strict", "--jobs"},
-        "check-equivalence": {"--model", "--scheme", "--base-policy", "--theta", "--K",
-                              "--generate", "--count", "--states", "--actions", "--noise",
-                              "--budget", "--seed", "--out", "--format", "--jobs"},
     }
 
     def test_each_command_declares_its_option_set(self):
@@ -302,7 +323,7 @@ class TestOptions:
             for name, sub in commands.items()
         }
         assert {name: set(options) for name, options in declared.items()} == self.OPTIONS
-        assert sum(len(options) for options in declared.values()) == 55
+        assert sum(len(options) for options in declared.values()) == 40
 
     REQUIRED = {
         "solve-dp": ["--model", "unused.json"],
@@ -321,6 +342,8 @@ class TestOptions:
             ("run-adp", "--strict"),
             ("run-adp", "--jobs 3"),
             ("check-equivalence", "--strict"),
+            # The command is gone: bound-adp certifies the same identities.
+            ("check-equivalence", "--scheme myopic"),
         ],
     )
     def test_removed_option_is_a_parse_error(self, command, option, capsys):
@@ -346,7 +369,7 @@ class TestExitCodes:
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--count", "0"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--states", "0"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--actions", "0"],
-            ["check-equivalence", "--generate", "random_mdp", "--noise", "0"],
+            ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--noise", "0"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--K", "0"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--ground-size", "0"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--count", "-2"],
@@ -356,6 +379,11 @@ class TestExitCodes:
             ["verify-theorem1", "--generate", "coverage_submodular", "--seed", "-1"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--budget", "-1"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--jobs", "0"],
+            # Options that the command would ignore.
+            ["bound-adp", "--model", "unused.json", "--scheme", "myopic", "--count", "5",
+             "--states", "9"],
+            ["bound-adp", "--model", "/nonexistent.json", "--generate", "random_mdp",
+             "--scheme", "myopic"],
         ],
     )
     def test_parse_error_for_sizes_below_one(self, args, capsys):
@@ -399,6 +427,25 @@ class TestExitCodes:
         theta.write_text(json.dumps(table))
         assert main(["run-adp", "--model", chain_file, "--scheme", "linearq",
                      "--theta", str(theta)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, scheme, option, reader, table",
+        [
+            ("run-adp", "myopic", "--theta", "linearq", [[2.0], [5.0]]),
+            ("run-adp", "myopic", "--base-policy", "rollout", [[0, 0], [0, 0]]),
+            ("bound-adp", "rollout", "--theta", "linearq", [[2.0], [5.0]]),
+            ("bound-adp", "linearq", "--base-policy", "rollout", [[0, 0], [0, 0]]),
+        ],
+    )
+    def test_scheme_input_for_another_scheme(self, chain_file, tmp_path, command, scheme,
+                                             option, reader, table, capsys):
+        # The file is valid, but the chosen scheme would not read it.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        assert main([command, "--model", chain_file, "--scheme", scheme, option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: {option} is read only by --scheme {reader}" in err
 
     def test_output_file_in_place_of_a_sweep_directory(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -475,10 +522,9 @@ class TestBudget:
             assert ("bound_not_computed" in report["flags"]) == not_computed, budget
             assert (report["skipped_terms"] is None) == not_computed, budget
 
-    @pytest.mark.parametrize("command", ["bound-adp", "check-equivalence"])
-    def test_refused_before_the_ground_set_is_built(self, command, monkeypatch, tmp_path,
-                                                   capsys):
-        # 27 stage policies, K = 3: the Theorem 2 check needs 81 strings.
+    def test_refused_before_the_ground_set_is_built(self, monkeypatch, tmp_path, capsys):
+        # 27 stage policies, K = 3: the Theorem 2 check needs 81 strings, the
+        # bound 1 + 27 + 27^2 + 27^3.
         built = []
         original = adpbound.surrogate.policy_ground_set
 
@@ -487,14 +533,14 @@ class TestBudget:
             return original(model)
 
         monkeypatch.setattr(adpbound.surrogate, "policy_ground_set", counted)
-        args = [command, "--generate", "random_mdp", "--states", "3", "--actions", "3",
+        args = ["bound-adp", "--generate", "random_mdp", "--states", "3", "--actions", "3",
                 "--K", "3", "--scheme", "myopic", "--out", str(tmp_path)]
         assert main(args + ["--budget", "80"]) == 3
         assert "stage-wise selection check needs 81 evaluations" in capsys.readouterr().err
         assert built == []
-        if command == "check-equivalence":
-            assert main(args + ["--budget", "81"]) == 0
-            assert built
+        assert main(args + ["--budget", "81"]) == 0
+        assert built
+        assert read_json(tmp_path / "instance_0000.json")["flags"] == ["bound_not_computed"]
 
     def test_table_objective_is_refused_like_a_callable(self, tmp_path, capsys):
         # A generated objective carries its tables, but the report still

@@ -384,3 +384,13 @@ def test_checks_are_unchanged_by_scaling_with_a_power_of_two(k):
     assert check_diminishing_return(f, 2) == check_diminishing_return(scaled, 2) == (True, None)
     sigma = forward_curvature_sigma(f, greedy_string(f, 2), 2)
     assert forward_curvature_sigma(scaled, greedy_string(scaled, 2), 2) == sigma
+    # f(s) = w1[s1] + w2[s2] meets the stage recursion with equality, and
+    # the sums round its slack one unit in the last place below 0.
+    first, second = np.array([9.0, 3.0]) / 7, np.array([1.0, 1.0]) / 7
+    levels = [np.zeros(()), first, first[:, None] + second]
+    checks = greedy_recursion_checks(table_objective(levels), 2)
+    assert min(check.slack for check in checks) < 0.0
+    scaled_checks = greedy_recursion_checks(table_objective([v * 2.0**k for v in levels]), 2)
+    assert [check.satisfied for check in scaled_checks] == [check.satisfied for check in checks]
+    assert all(check.satisfied for check in checks)
+    assert [check.slack for check in scaled_checks] == [check.slack * 2.0**k for check in checks]

@@ -312,6 +312,9 @@ class TestBoundReport:
             "worst_slack",
             "theorem2_verified",
             "prop1_verified",
+            "stage_gaps",
+            "max_stage_gap",
+            "mismatched_paths",
             "flags",
         ]
 
@@ -338,8 +341,8 @@ class TestBoundReport:
                     assert report.ratio >= report.curvature.bound_finite_K - 1e-12
 
     def test_forward_run_and_tree_built_once(self, m_noise, monkeypatch, tmp_path):
-        # One walk of the noise tree per bound report and per model of a
-        # check-equivalence sweep: both identities are checked on that run.
+        # One walk of the noise tree per bound report, and so per model of a
+        # bound-adp sweep: both identities are checked on that run.
         walks = []
         original = adpbound.schemes.walk_noise_tree
 
@@ -353,7 +356,7 @@ class TestBoundReport:
         assert report.pdao_matches_gps and report.adp_matches_pdao
 
         walks.clear()
-        assert main(["check-equivalence", "--generate", "random_mdp", "--count", "3",
+        assert main(["bound-adp", "--generate", "random_mdp", "--count", "3",
                      "--seed", "2", "--scheme", "rollout", "--out", str(tmp_path)]) == 0
         assert len(walks) == 3
 
@@ -400,8 +403,9 @@ class TestBoundReport:
         assert len(strings) == K * P
 
         strings.clear()
-        assert main(["check-equivalence", "--generate", "random_mdp", "--count", "1",
+        assert main(["bound-adp", "--generate", "random_mdp", "--count", "1",
                      "--seed", "5", "--states", "3", "--actions", "3", "--K", "3",
+                     "--scheme", "myopic", "--budget", str(strings_up_to(P, K) - 1),
                      "--out", str(tmp_path)]) == 0
         assert len(strings) == K * P
 
