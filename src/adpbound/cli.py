@@ -48,7 +48,7 @@ from .generators import (
     random_base_policy,
     random_theta,
 )
-from .mdp import MdpModel, bellman_solve, load_model, simulate_policy_mc
+from .mdp import MdpModel, PolicyString, bellman_solve, load_model, simulate_policy_mc
 from .reporting import csv_text, json_text, write_text_atomic
 from .schemes import adp_forward, make_scheme, scheme_policy
 from .stringopt import StringObjective, greedy_guarantee_report
@@ -197,7 +197,14 @@ def _load_model_with_horizon(path: str, horizon: Optional[int]) -> MdpModel:
     return model
 
 
-def _scheme_for(model: MdpModel, args: argparse.Namespace, index: int = 0):
+def _scheme_inputs(
+    args: argparse.Namespace,
+) -> tuple[Optional[PolicyString], Optional[np.ndarray]]:
+    """The parsed ``--base-policy`` and ``--theta`` files, or None where not given.
+
+    Each file is read and parsed once per command, so every instance of a
+    sweep gets the same inputs.
+    """
     base_policy = None
     theta = None
     if args.base_policy is not None:
@@ -216,6 +223,12 @@ def _scheme_for(model: MdpModel, args: argparse.Namespace, index: int = 0):
             theta = np.asarray(raw, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"invalid theta table: {exc}") from None
+    return base_policy, theta
+
+
+def _scheme_for(model: MdpModel, args: argparse.Namespace,
+                base_policy: Optional[PolicyString], theta: Optional[np.ndarray],
+                index: int = 0):
     if getattr(args, "generate", None) is not None:
         # Generated sweeps derive missing scheme inputs from the seed.
         rng = np.random.Generator(
@@ -317,7 +330,7 @@ def cmd_solve_dp(args: argparse.Namespace) -> int:
 
 def cmd_run_adp(args: argparse.Namespace) -> int:
     model = _load_model_with_horizon(args.model, args.horizon)
-    scheme = _scheme_for(model, args)
+    scheme = _scheme_for(model, args, *_scheme_inputs(args))
     report: dict = {"command": "run-adp", "scheme": args.scheme}
     if args.mc is not None:
         mean, stderr = simulate_policy_mc(
@@ -346,11 +359,14 @@ def cmd_run_adp(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_adp(args: argparse.Namespace) -> int:
+    models = _models_for(args)
+    inputs = _scheme_inputs(args)
+
     def worker(index: int, model: MdpModel) -> dict:
-        scheme = _scheme_for(model, args, index=index)
+        scheme = _scheme_for(model, args, *inputs, index=index)
         return bound_report_to_dict(adp_bound_report(model, scheme, budget=args.budget))
 
-    return _sweep(args, _models_for(args), worker, strict=args.strict,
+    return _sweep(args, models, worker, strict=args.strict,
                   checked=("theorem2_verified", "prop1_verified"))
 
 

@@ -13,17 +13,20 @@ optimum, whatever its tie-breaking, certified whenever the averaged
 surrogate is prefix-monotone.
 
 The scheme enters only through its W table.  The averaged surrogate averages
-realized paths (``_g_avg``) and keeps no values.  The bound report fills one
-numpy level table per string length from it, each policy string once, and
-hands the levels over as a table objective, which the Theorem 2 check and
-the guarantee report then read.  The monotonicity certificate is the
-prefix-monotone check on those tables; its independent route, a
-node-by-node walk of the policy-string tree, lives with the tests.
+realized paths over a given list of noise paths (``_g_avg``) and keeps no
+values; its string objective enumerates the noise paths of each string
+length once and scores every string of that length over them.  The bound
+report fills one numpy level table per string length from it, each policy
+string once, and hands the levels over as a table objective, which the
+Theorem 2 check and the guarantee report then read.  The monotonicity
+certificate is the prefix-monotone check on those tables; its independent
+route, a node-by-node walk of the policy-string tree, lives with the tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from .common import (
 from .mdp import (
     MarkovPolicy,
     MdpModel,
+    NoisePath,
     PolicyString,
     bellman_solve,
     enumerate_noise_paths,
@@ -108,23 +112,38 @@ def policy_ground_set(model: MdpModel) -> tuple[MarkovPolicy, ...]:
     return tuple(itertools.product(range(model.num_actions), repeat=model.num_states))
 
 
-def _g_avg(surrogate: SurrogateObjective, policies: PolicyString) -> float:
+def _noise_paths(model: MdpModel, length: int) -> list[NoisePath]:
+    """The noise paths a policy string of ``length`` stages sees; none for the empty string."""
+    return enumerate_noise_paths(model, length - 1) if length else []
+
+
+def _g_avg(
+    surrogate: SurrogateObjective, policies: PolicyString, paths: Sequence[NoisePath]
+) -> float:
+    """The averaged surrogate of ``policies`` over ``paths``, its noise paths.
+
+    Each path's score adds the rewards from 0.0 in stage order and then the
+    continuation estimate, as :meth:`SurrogateObjective.evaluate_path` does,
+    and the scores are averaged in path order.  The value is therefore the
+    same to the last bit whether the caller enumerated ``paths`` for this
+    string alone or once for a whole level.
+    """
     k = len(policies)
-    if k == 0:
-        return 0.0
     model = surrogate.model
+    reward = model.reward
+    transition = model.transition
     total = 0.0
-    for path in enumerate_noise_paths(model, k - 1):
+    for path in paths:
         state = model.initial_state
-        states = [state]
-        actions = []
+        score = 0.0
         for i, stage in enumerate(policies):
             action = stage[state]
-            actions.append(action)
+            score += float(reward[state, action])
             if i < k - 1:
-                state = int(model.transition[state, action, path.symbols[i]])
-                states.append(state)
-        total += path.probability * surrogate.evaluate_path(states, actions)
+                state = int(transition[state, action, path.symbols[i]])
+        if k < model.horizon:
+            score += float(surrogate.approximator.evaluate(k, state, action))
+        total += path.probability * score
     return float(total)
 
 
@@ -134,9 +153,11 @@ class PolicyStringObjective:
 
     ``ground[i]`` is the stage policy named by action index ``i`` of the
     adapter.  From :func:`policy_string_objective`, ``objective.evaluate``
-    averages the surrogate afresh on every call and keeps nothing; a caller
-    that reads a string more than once tabulates it first, as
-    :func:`adp_bound_report` does.
+    averages the surrogate afresh on every call and keeps no values, only
+    the noise paths of each string length, enumerated once, on first use.
+    A caller that reads a string more than once tabulates it first, as
+    :func:`adp_bound_report` does, so its tables enumerate the noise paths
+    once per level.
     """
 
     surrogate: SurrogateObjective
@@ -151,9 +172,12 @@ def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> 
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
     ground = policy_ground_set(model)
     surrogate = SurrogateObjective(model=model, approximator=approximator)
+    paths = functools.lru_cache(maxsize=None)(lambda length: _noise_paths(model, length))
 
     def evaluate(indices: tuple[int, ...]) -> float:
-        return _g_avg(surrogate, tuple(ground[i] for i in indices))
+        if len(indices) > model.horizon:
+            raise ValueError("policy string longer than the horizon")
+        return _g_avg(surrogate, tuple(ground[i] for i in indices), paths(len(indices)))
 
     objective = StringObjective(
         evaluate=evaluate, ground_size=len(ground), horizon=model.horizon
@@ -167,9 +191,11 @@ def g_avg_eval(obj: PolicyStringObjective, policies: PolicyString) -> float:
     At full length this equals the exact policy value of the same string; the
     empty string is worth 0.
     """
-    if len(policies) > obj.surrogate.model.horizon:
+    model = obj.surrogate.model
+    if len(policies) > model.horizon:
         raise ValueError("policy string longer than the horizon")
-    return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies))
+    paths = _noise_paths(model, len(policies))
+    return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies), paths)
 
 
 def induced_stage_policies(run: AdpRun, model: MdpModel) -> PolicyString:

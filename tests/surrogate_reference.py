@@ -1,5 +1,12 @@
 """Loop references for the table code in ``adpbound.schemes`` and ``adpbound.surrogate``.
 
+``g_avg`` averages the surrogate over noise one policy string at a time:
+it enumerates the string's noise paths afresh, records each realized path
+and scores it with ``SurrogateObjective.evaluate_path``.  The library
+enumerates each length's paths once and scores every string of that length
+over them with the same floating-point operations in the same order, so
+its level tables must equal ``surrogate_levels`` with ``==``.
+
 ``scheme_policy`` scores every (stage, state, action) one at a time; the
 library computes it as one array argmax with the same floating-point
 operations, so the two must agree with ``==``.
@@ -20,15 +27,49 @@ path score instead, so this tree is the independent route to that check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from adpbound.common import VALUE_TOL
-from adpbound.mdp import MarkovPolicy, MdpModel, PolicyString
+from adpbound.mdp import MarkovPolicy, MdpModel, PolicyString, enumerate_noise_paths
 from adpbound.schemes import EvtgApproximator, PathRecord
 from adpbound.surrogate import SurrogateObjective, policy_ground_set
+
+
+def g_avg(surrogate: SurrogateObjective, policies: PolicyString) -> float:
+    """Exact noise expectation of the surrogate along one policy string."""
+    k = len(policies)
+    if k == 0:
+        return 0.0
+    model = surrogate.model
+    total = 0.0
+    for path in enumerate_noise_paths(model, k - 1):
+        state = model.initial_state
+        states = [state]
+        actions = []
+        for i, stage in enumerate(policies):
+            action = stage[state]
+            actions.append(action)
+            if i < k - 1:
+                state = int(model.transition[state, action, path.symbols[i]])
+                states.append(state)
+        total += path.probability * surrogate.evaluate_path(states, actions)
+    return float(total)
+
+
+def surrogate_levels(model: MdpModel, approximator: EvtgApproximator) -> list[np.ndarray]:
+    """``g_avg`` on every policy string of length 0..K, one table per length."""
+    surrogate = SurrogateObjective(model=model, approximator=approximator)
+    ground = policy_ground_set(model)
+    P = len(ground)
+    return [
+        np.array([g_avg(surrogate, policies) for policies in itertools.product(ground, repeat=n)],
+                 dtype=float).reshape((P,) * n)
+        for n in range(model.horizon + 1)
+    ]
 
 
 def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:

@@ -14,9 +14,12 @@ import adpbound.surrogate
 from adpbound import (
     GeneratedInstanceSpec,
     MdpModel,
+    adp_bound_report,
     bellman_solve,
+    bound_report_to_dict,
     evaluate_policy_exact,
     generate_mdp_instances,
+    make_scheme,
     myopic_w,
     random_base_policy,
     save_model,
@@ -24,6 +27,7 @@ from adpbound import (
 )
 from adpbound.cli import build_parser, main
 from adpbound.common import values_agree
+from adpbound.reporting import json_text
 from adpbound.schemes import AdpRun, walk_noise_tree
 from conftest import chain_model, zero_reward_model
 
@@ -153,6 +157,33 @@ class TestBoundAdp:
         files = sorted(p.name for p in outdir.iterdir())
         assert files == ["index.csv", "instance_0000.json", "instance_0001.json",
                          "instance_0002.json"]
+
+    def test_base_policy_file_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        # Every instance gets the base policy parsed from the one read of
+        # the file, and its report is the library's report for that policy.
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps([[1, 0], [0, 1]]))
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == base:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        outdir = tmp_path / "sweep"
+        code = main(["bound-adp", "--generate", "random_mdp", "--count", "3",
+                     "--seed", "11", "--scheme", "rollout", "--base-policy", str(base),
+                     "--out", str(outdir)])
+        monkeypatch.undo()
+        assert code == 0
+        assert len(opened) == 1
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=3, seed=11, horizon=2)
+        for index, model in enumerate(generate_mdp_instances(spec)):
+            scheme = make_scheme(model, "rollout", base_policy=((1, 0), (0, 1)))
+            expected = json_text(bound_report_to_dict(adp_bound_report(model, scheme)))
+            assert (outdir / f"instance_{index:04d}.json").read_text() == expected
 
 
 class TestVerifyTheorem1:

@@ -47,6 +47,7 @@ from adpbound import (
     policy_ground_set,
     policy_string_objective,
     random_base_policy,
+    random_theta,
     rollout_w,
     scheme_policy,
 )
@@ -367,10 +368,10 @@ class TestBoundReport:
         strings = []
         original = adpbound.surrogate._g_avg
 
-        def counted(surrogate, policies):
+        def counted(surrogate, policies, paths):
             if policies:
                 strings.append(policies)
-            return original(surrogate, policies)
+            return original(surrogate, policies, paths)
 
         monkeypatch.setattr(adpbound.surrogate, "_g_avg", counted)
         return strings
@@ -408,6 +409,23 @@ class TestBoundReport:
                      "--scheme", "myopic", "--budget", str(strings_up_to(P, K) - 1),
                      "--out", str(tmp_path)]) == 0
         assert len(strings) == K * P
+
+    def test_noise_paths_are_enumerated_once_per_level(self, monkeypatch):
+        # The tables score every string of a level over one enumeration of
+        # that level's noise paths: K enumerations, where averaging each of
+        # the 20,439 policy strings on its own enumerated once per string.
+        model = self.generated_model(num_actions=3)
+        lengths = []
+        original = adpbound.surrogate.enumerate_noise_paths
+
+        def counted(model, length):
+            lengths.append(length)
+            return original(model, length)
+
+        monkeypatch.setattr(adpbound.surrogate, "enumerate_noise_paths", counted)
+        report = adp_bound_report(model, myopic_w(model))
+        assert report.curvature is not None
+        assert sorted(lengths) == list(range(model.horizon))
 
     def test_report_keeps_no_second_copy_of_the_values(self):
         # 20,440 policy strings take 0.16 MB as tables; a second copy in a
@@ -511,6 +529,58 @@ def test_certificate_matches_node_walk_reference(case):
         obj = policy_string_objective(model, w)
         assert g_avg_eval(obj, string) - g_avg_eval(obj, prefix) < -VALUE_TOL
     assert (cert.witness is None) == holds
+
+
+@st.composite
+def models_with_schemes(draw, max_strings=1024):
+    """Random models with float rewards and one of the four schemes on them.
+
+    K is capped so that there are at most ``max_strings`` full-length policy
+    strings; the rollout base policy and the linear-Q weights are drawn from
+    a seeded generator.
+    """
+    S = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3))
+    P = A**S
+    K = draw(st.integers(1, max(k for k in range(1, 5) if P**k <= max_strings)))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=N, max_size=N)), dtype=float)
+    transition = draw(st.lists(st.integers(0, S - 1), min_size=S * A * N, max_size=S * A * N))
+    reward = draw(st.lists(st.floats(0.0, 10.0), min_size=S * A, max_size=S * A))
+    features = draw(st.lists(st.floats(-1.0, 1.0), min_size=S * 2, max_size=S * 2))
+    model = MdpModel(
+        num_states=S,
+        num_actions=A,
+        horizon=K,
+        initial_state=draw(st.integers(0, S - 1)),
+        noise_probs=weights / weights.sum(),
+        transition=np.reshape(transition, (S, A, N)),
+        reward=np.reshape(reward, (S, A)),
+        features=np.reshape(features, (S, 2)),
+    )
+    rng = instance_rng(draw(st.integers(0, 2**31 - 1)), 0)
+    scheme = draw(st.sampled_from(("myopic", "rollout", "linearq", "exact_evtg")))
+    return model, make_scheme(model, scheme, base_policy=random_base_policy(rng, model),
+                              theta=random_theta(rng, model))
+
+
+@given(case=models_with_schemes())
+@settings(max_examples=150)
+def test_surrogate_levels_equal_the_per_string_reference(case):
+    # The string objective enumerates each length's noise paths once and
+    # scores every string over them; the reference enumerates them again
+    # for every string.  The floating-point operations are the same and in
+    # the same order, so the tables the bound report fills must agree bit
+    # for bit.
+    model, w = case
+    expected = reference.surrogate_levels(model, w)
+    obj = policy_string_objective(model, w)
+    tabulated = _tables(obj.objective, model.horizon, DEFAULT_BUDGET)
+    assert len(tabulated) == len(expected) == model.horizon + 1
+    for n in range(model.horizon + 1):
+        assert np.array_equal(tabulated[n], expected[n]), n
+    full = tuple(obj.ground[-1] for _ in range(model.horizon))
+    assert g_avg_eval(obj, full) == expected[model.horizon].flat[-1]
 
 
 def relabel_states(model, w, perm):
