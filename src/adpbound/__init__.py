@@ -67,7 +67,6 @@ from .surrogate import (
     check_pdao_gps_equivalence,
     check_stagewise_selection,
     check_surrogate_monotonicity,
-    g_avg_eval,
     induced_stage_policies,
     policy_ground_set,
     policy_string_objective,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .common import DEFAULT_BUDGET, ensure_budget
-from .mdp import MdpModel, PolicyString, backward_values
+from .mdp import MdpModel, PolicyString, backward_values, enumerate_noise_paths
 
 __all__ = [
     "EvtgApproximator",
@@ -51,6 +51,8 @@ class EvtgApproximator:
         table = np.array(self.table, dtype=float)
         if table.ndim != 3 or np.any(table[-1] != 0.0):
             raise ValueError("W must be a [stage][state][action] table that is 0 at the final stage")
+        if not np.isfinite(table).all():
+            raise ValueError("W must be finite")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -164,39 +166,30 @@ def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyStri
 
 
 def walk_noise_tree(model: MdpModel, policy: PolicyString) -> tuple[PathRecord, ...]:
-    """Follow a policy string down every branch of the noise tree.
+    """Follow a policy string along every noise path.
 
     ``policy[k][x]`` is the action at state ``x`` of stage ``k + 1``.  Returns
-    one record per full noise path, in lexicographic noise order.  The tree
-    is expanded one stage at a time, so the horizon is not bounded by the
-    recursion limit.
+    one record per noise path of :func:`~adpbound.mdp.enumerate_noise_paths`,
+    N^(K-1) in lexicographic noise order, with that path's probability; the
+    reward adds the stage rewards from 0.0 in stage order.
     """
     K = model.horizon
-    probs = [float(p) for p in model.noise_probs]
-    # Noise prefixes of the current stage in lexicographic order, each with
-    # its states, the actions before this stage, and its probability.
-    nodes: list[tuple[tuple[int, ...], list[int], list[int], float]] = [
-        ((), [model.initial_state], [], 1.0)
-    ]
-    for stage in range(K - 1):
-        children = []
-        for noise, states, actions, probability in nodes:
-            actions = actions + [policy[stage][states[-1]]]
-            for symbol, p in enumerate(probs):
-                successor = int(model.transition[states[-1], actions[-1], symbol])
-                children.append((noise + (symbol,), states + [successor], actions, probability * p))
-        nodes = children
-
     records = []
-    for noise, states, actions, probability in nodes:
-        actions = actions + [policy[K - 1][states[-1]]]
+    for path in enumerate_noise_paths(model, K - 1):
+        state = model.initial_state
+        states, actions = [], []
         total = 0.0
-        for x, a in zip(states, actions):
-            total += float(model.reward[x, a])
+        for stage in range(K):
+            action = policy[stage][state]
+            states.append(state)
+            actions.append(action)
+            total += float(model.reward[state, action])
+            if stage < K - 1:
+                state = int(model.transition[state, action, path.symbols[stage]])
         records.append(
             PathRecord(
-                noise=noise,
-                probability=probability,
+                noise=path.symbols,
+                probability=path.probability,
                 states=tuple(states),
                 actions=tuple(actions),
                 reward=total,

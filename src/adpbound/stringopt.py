@@ -18,9 +18,11 @@ they are; a callable objective is evaluated once per string to fill them.
 The budget counts those strings and is checked before the first one is
 read, whichever way the tables are filled: a function that tabulates
 lengths 0..K needs sum_{n<=K} m^n, one that reads length K only (the
-brute-force optimum and the total curvature) needs m^K.  Only
-:func:`greedy_string` walks the objective directly, since it needs just
-O(m * K) evaluations.
+brute-force optimum and the total curvature) needs m^K.  A non-finite value,
+carried or returned, raises ``ValueError``.  One stage-wise argmax reads
+each stage's m candidates once: from the callable in :func:`greedy_string`
+(m * K evaluations) and the surrogate's Theorem 2 check, and from table
+rows in the guarantee report and the recursion checks.
 """
 
 from __future__ import annotations
@@ -200,46 +202,35 @@ class InequalityCheck:
     satisfied: bool
 
 
-def _cached_evaluator(objective: StringObjective) -> Callable[[ActionString], float]:
-    # Per-call memo; safe because objectives are deterministic by contract.
-    memo: dict[ActionString, float] = {}
-    raw = objective.evaluate
-
-    def evaluate(string: ActionString) -> float:
-        value = memo.get(string)
-        if value is None:
-            value = float(raw(string))
-            memo[string] = value
-        return value
-
-    return evaluate
-
-
 def _greedy(
-    ev: Callable[[ActionString], float],
-    ground_size: int,
+    children: Callable[[ActionString], Sequence[float]],
     horizon: int,
     chosen: Optional[ActionString] = None,
-) -> GreedyTrace:
-    # ``chosen`` replaces the smallest-index pick at every stage when given.
+) -> tuple[GreedyTrace, tuple[float, ...]]:
+    """The stage-wise argmax over ``children(prefix)``, f(prefix + (a,)) for every action a.
+
+    Each stage reads its candidates once.  ``chosen`` replaces the
+    smallest-index pick at every stage when given.  Returns the trace and
+    the stage maxima; a value that is not finite raises ``ValueError``.
+    """
     string: ActionString = ()
     prefix_values: list[float] = []
     tie_sets: list[tuple[int, ...]] = []
+    maxima: list[float] = []
     for stage in range(horizon):
-        best_value: Optional[float] = None
-        for action in range(ground_size):
-            value = ev(string + (action,))
-            if best_value is None or value > best_value:
-                best_value = value
-        ties = tuple(
-            action
-            for action in range(ground_size)
-            if ev(string + (action,)) == best_value
-        )
-        string = string + (ties[0] if chosen is None else chosen[stage],)
-        prefix_values.append(ev(string))
+        values = [float(value) for value in children(string)]
+        for action, value in enumerate(values):
+            if not math.isfinite(value):
+                raise ValueError(f"objective value {value} at {string + (action,)!r} is not finite")
+        best = max(values)
+        ties = tuple(action for action, value in enumerate(values) if value == best)
+        action = ties[0] if chosen is None else chosen[stage]
+        string = string + (action,)
+        prefix_values.append(values[action])
         tie_sets.append(ties)
-    return GreedyTrace(string=string, prefix_values=tuple(prefix_values), tie_sets=tuple(tie_sets))
+        maxima.append(best)
+    trace = GreedyTrace(string=string, prefix_values=tuple(prefix_values), tie_sets=tuple(tie_sets))
+    return trace, tuple(maxima)
 
 
 def greedy_string(f: StringObjective, horizon: int) -> GreedyTrace:
@@ -251,9 +242,9 @@ def greedy_string(f: StringObjective, horizon: int) -> GreedyTrace:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if f.ground_size < 1:
-        raise ValueError("ground set must contain at least one action")
-    return _greedy(_cached_evaluator(f), f.ground_size, horizon)
+    m = f.ground_size
+    trace, _ = _greedy(lambda prefix: [f.evaluate(prefix + (a,)) for a in range(m)], horizon)
+    return trace
 
 
 def _level(f: StringObjective, length: int, budget: int) -> np.ndarray:
@@ -269,17 +260,17 @@ def _level(f: StringObjective, length: int, budget: int) -> np.ndarray:
         return f.tables[length]
     strings = itertools.product(range(m), repeat=length)
     values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=count)
-    return values.reshape((m,) * length)
+    values = values.reshape((m,) * length)
+    string = _first(~np.isfinite(values))
+    if string is not None:
+        raise ValueError(f"objective value {values[string]} at {string!r} is not finite")
+    return values
 
 
 def _tables(f: StringObjective, horizon: int, budget: int) -> list[np.ndarray]:
     """Value tables of every length 0..horizon; each string is evaluated once."""
     ensure_budget(strings_up_to(f.ground_size, horizon), budget, "string tabulation")
     return [_level(f, length, budget) for length in range(horizon + 1)]
-
-
-def _lookup(tables: list[np.ndarray]) -> Callable[[ActionString], float]:
-    return lambda string: float(tables[len(string)][string])
 
 
 def _expand(values: np.ndarray, lead: int, extra: int) -> np.ndarray:
@@ -547,7 +538,7 @@ def greedy_guarantee_report(
     ):
         raise ValueError(f"greedy string {greedy!r} is not {horizon} actions below {m}")
     tables = _tables(f, horizon, budget)
-    trace = _greedy(_lookup(tables), m, horizon, greedy)
+    trace, _ = _greedy(lambda prefix: tables[len(prefix) + 1][prefix], horizon, greedy)
     _, optimal_value = _bruteforce(tables[horizon])
     greedy_value = trace.prefix_values[-1]
 
@@ -628,7 +619,7 @@ def greedy_recursion_checks(
     """
     tables = _tables(f, horizon, budget)
     tol = table_tol(VALUE_TOL, tables)
-    trace = _greedy(_lookup(tables), f.ground_size, horizon)
+    trace, _ = _greedy(lambda prefix: tables[len(prefix) + 1][prefix], horizon)
     _, optimal_value = _bruteforce(tables[horizon])
     eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
     sigma, _ = _sigma(tables, trace, horizon)

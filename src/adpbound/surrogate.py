@@ -52,6 +52,7 @@ from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
+    _greedy,
     _ratio,
     _tables,
     check_prefix_monotone,
@@ -67,7 +68,6 @@ __all__ = [
     "AdpBoundReport",
     "budget_preflight",
     "policy_ground_set",
-    "g_avg_eval",
     "induced_stage_policies",
     "check_stagewise_selection",
     "check_path_greedy",
@@ -110,11 +110,6 @@ class SurrogateObjective:
 def policy_ground_set(model: MdpModel) -> tuple[MarkovPolicy, ...]:
     """Every deterministic stage policy, lexicographically ordered by its table."""
     return tuple(itertools.product(range(model.num_actions), repeat=model.num_states))
-
-
-def _noise_paths(model: MdpModel, length: int) -> list[NoisePath]:
-    """The noise paths a policy string of ``length`` stages sees; none for the empty string."""
-    return enumerate_noise_paths(model, length - 1) if length else []
 
 
 def _g_avg(
@@ -172,7 +167,8 @@ def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> 
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
     ground = policy_ground_set(model)
     surrogate = SurrogateObjective(model=model, approximator=approximator)
-    paths = functools.lru_cache(maxsize=None)(lambda length: _noise_paths(model, length))
+    # The noise paths a string of each length sees, enumerated once; none for the empty string.
+    paths = functools.cache(lambda length: enumerate_noise_paths(model, length - 1) if length else [])
 
     def evaluate(indices: tuple[int, ...]) -> float:
         if len(indices) > model.horizon:
@@ -183,19 +179,6 @@ def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> 
         evaluate=evaluate, ground_size=len(ground), horizon=model.horizon
     )
     return PolicyStringObjective(surrogate=surrogate, ground=ground, objective=objective)
-
-
-def g_avg_eval(obj: PolicyStringObjective, policies: PolicyString) -> float:
-    """Exact noise expectation of the surrogate along a policy string.
-
-    At full length this equals the exact policy value of the same string; the
-    empty string is worth 0.
-    """
-    model = obj.surrogate.model
-    if len(policies) > model.horizon:
-        raise ValueError("policy string longer than the horizon")
-    paths = _noise_paths(model, len(policies))
-    return _g_avg(obj.surrogate, tuple(tuple(stage) for stage in policies), paths)
 
 
 def induced_stage_policies(run: AdpRun, model: MdpModel) -> PolicyString:
@@ -233,24 +216,23 @@ def check_stagewise_selection(
     its tie-breaking.  The attained value and the maximum are compared with
     :func:`values_agree`, since a tie the scheme resolved with r + W can
     round apart in the surrogate's sums.  Applied to the forward run's
-    induced stage policies this is the scheme's Theorem 2 identity.  Each
-    stage evaluates every candidate once, K * |ground| strings in all, and
-    reads the attained value among them.
+    induced stage policies this is the scheme's Theorem 2 identity.  The
+    stages are the greedy pass of :mod:`adpbound.stringopt` along the given
+    string: each evaluates every candidate once, K * |ground| strings in all,
+    and reads the attained value among them.
     """
-    prefix: tuple[int, ...] = ()
-    evidence: list[StageEvidence] = []
-    ev = obj.objective.evaluate
-    for stage, policy in enumerate(policies, start=1):
-        values = [ev(prefix + (candidate,)) for candidate in range(len(obj.ground))]
-        best = max(values)
-        chosen = obj.ground.index(policy)
-        prefix = prefix + (chosen,)
-        attained = values[chosen]
-        evidence.append(
-            StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
-        )
+    chosen = tuple(obj.ground.index(policy) for policy in policies)
+    trace, maxima = _greedy(
+        lambda prefix: [obj.objective.evaluate(prefix + (c,)) for c in range(len(obj.ground))],
+        len(chosen),
+        chosen,
+    )
+    evidence = tuple(
+        StageEvidence(stage=stage, best_value=best, attained_value=attained, gap=best - attained)
+        for stage, (best, attained) in enumerate(zip(maxima, trace.prefix_values), start=1)
+    )
     verified = all(values_agree(item.attained_value, item.best_value) for item in evidence)
-    return verified, tuple(evidence)
+    return verified, evidence
 
 
 def check_path_greedy(

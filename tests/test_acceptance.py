@@ -25,7 +25,6 @@ from adpbound import (
     check_pdao_gps_equivalence,
     curvature_bound,
     exact_evtg_w,
-    g_avg_eval,
     greedy_guarantee_report,
     greedy_recursion_checks,
     myopic_w,
@@ -123,20 +122,21 @@ def test_scheme_equivalence_sweep(mdp_sweep):
 def test_terminal_identity_and_optimum(mdp_sweep):
     """Full-length averaged surrogate equals the exact policy value; optima coincide."""
     for index, model in enumerate(mdp_sweep):
-        stage_policies = list(
+        stage_policies = tuple(
             itertools.product(range(model.num_actions), repeat=model.num_states)
         )
         _, tables = bellman_solve(model)
         bellman_value = float(tables.V[0, model.initial_state])
         exact_values = {
-            string: path_policy_value(model, string)
-            for string in itertools.product(stage_policies, repeat=model.horizon)
+            indices: path_policy_value(model, tuple(stage_policies[i] for i in indices))
+            for indices in itertools.product(range(len(stage_policies)), repeat=model.horizon)
         }
         for name, scheme in schemes_for(model, index).items():
             obj = policy_string_objective(model, scheme)
+            assert obj.ground == stage_policies
             best = -math.inf
-            for string, direct in exact_values.items():
-                averaged = g_avg_eval(obj, string)
+            for indices, direct in exact_values.items():
+                averaged = obj.objective.evaluate(indices)
                 assert abs(averaged - direct) <= TOL, (index, name)
                 best = max(best, averaged)
             assert abs(best - bellman_value) <= TOL, (index, name)

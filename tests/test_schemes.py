@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpbound import (
     EvtgApproximator,
+    MdpModel,
     adp_forward,
     bellman_solve,
+    enumerate_noise_paths,
     exact_evtg_w,
     linear_q_w,
     make_scheme,
@@ -19,7 +24,9 @@ from adpbound import (
     scheme_policy,
     simulate_policy_mc,
 )
+from adpbound.schemes import walk_noise_tree
 from conftest import chain_model, schemes_for
+from mdp_reference import trajectory_reward
 
 STAY_BASE = ((0, 0), (0, 0))
 
@@ -131,6 +138,16 @@ class TestForwardScheme:
         with pytest.raises(ValueError, match="final stage"):
             EvtgApproximator(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_table_must_be_finite(self, bad, state):
+        # On the chain model state 1 is unreached at stage 1; the table is
+        # rejected whether or not a forward run would read the entry.
+        table = np.zeros((2, 2, 2))
+        table[0, state, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EvtgApproximator(table)
+
     def test_state_recursion_on_every_path(self, m_noise):
         run = adp_forward(m_noise, myopic_w(m_noise))
         for record in run.paths:
@@ -198,3 +215,44 @@ class TestForwardMonteCarlo:
         assert simulate_scheme(m_noise, scheme, 500, seed=9) == simulate_scheme(
             m_noise, scheme, 500, seed=9
         )
+
+
+@st.composite
+def models_with_policy_strings(draw):
+    """Random models with S, A, N in 1..3 and K in 1..4, and any policy string on them."""
+    S = draw(st.integers(1, 3))
+    A = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=N, max_size=N)), dtype=float)
+    transition = draw(st.lists(st.integers(0, S - 1), min_size=S * A * N, max_size=S * A * N))
+    reward = draw(st.lists(st.floats(0.0, 10.0), min_size=S * A, max_size=S * A))
+    model = MdpModel(
+        num_states=S,
+        num_actions=A,
+        horizon=K,
+        initial_state=draw(st.integers(0, S - 1)),
+        noise_probs=weights / weights.sum(),
+        transition=np.reshape(transition, (S, A, N)),
+        reward=np.reshape(reward, (S, A)),
+    )
+    stage = st.lists(st.integers(0, A - 1), min_size=S, max_size=S).map(tuple)
+    return model, tuple(draw(stage) for _ in range(K))
+
+
+@given(case=models_with_policy_strings())
+@settings(max_examples=200)
+def test_walk_follows_the_policy_along_every_noise_path(case):
+    model, policy = case
+    K = model.horizon
+    records = walk_noise_tree(model, policy)
+    noises = itertools.product(range(model.noise_size), repeat=K - 1)
+    assert [record.noise for record in records] == list(noises)
+    for record, path in zip(records, enumerate_noise_paths(model, K - 1)):
+        assert record.probability == path.probability
+        assert len(record.states) == K and record.states[0] == model.initial_state
+        assert record.actions == tuple(policy[k][x] for k, x in enumerate(record.states))
+        for k in range(K - 1):
+            step = model.transition[record.states[k], record.actions[k], record.noise[k]]
+            assert record.states[k + 1] == step
+        assert record.reward == trajectory_reward(model, policy, model.initial_state, record.noise)

@@ -295,6 +295,13 @@ def _broken(change):
     return levels
 
 
+NON_FINITE = {
+    "nan": lambda t: t[1].__setitem__(1, np.nan),
+    "inf": lambda t: t[3].__setitem__((0, 1, 0), np.inf),
+    "minus_inf": lambda t: t[2].__setitem__((1, 1), -np.inf),
+}
+
+
 @pytest.mark.parametrize(
     "tables",
     [
@@ -304,14 +311,35 @@ def _broken(change):
         pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros((2, 3)))), id="wrong_shape"),
         pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros(4))), id="flattened_level"),
         pytest.param(_broken(lambda t: t.__setitem__(0, np.ones(()))), id="nonzero_empty"),
-        pytest.param(_broken(lambda t: t[1].__setitem__(1, np.nan)), id="nan"),
-        pytest.param(_broken(lambda t: t[3].__setitem__((0, 1, 0), np.inf)), id="inf"),
-        pytest.param(_broken(lambda t: t[2].__setitem__((1, 1), -np.inf)), id="minus_inf"),
+        *[pytest.param(_broken(change), id=name) for name, change in NON_FINITE.items()],
     ],
 )
 def test_carried_tables_are_validated(tables):
     with pytest.raises(ValueError):
         StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3, tables=tables)
+
+
+@pytest.mark.parametrize("change", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_values_of_a_callable_are_rejected(change):
+    # The same values as the carried tables above, returned by a callable.
+    levels = _broken(change)
+    f = StringObjective(evaluate=lambda s: float(levels[len(s)][tuple(s)]), ground_size=2,
+                        horizon=3)
+    with pytest.raises(ValueError, match="not finite"):
+        greedy_guarantee_report(f, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        check_prefix_monotone(f, 3)
+
+
+@pytest.mark.parametrize("string", [(0,), (1,), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_string_rejects_a_non_finite_candidate(string, bad):
+    # Every string here is a candidate of the smallest-index greedy pass.
+    values = {string: bad}
+    f = StringObjective(evaluate=lambda s: values.get(tuple(s), float(len(s))), ground_size=2,
+                        horizon=3)
+    with pytest.raises(ValueError, match="not finite"):
+        greedy_string(f, 3)
 
 
 def test_carried_tables_are_stored_read_only():

@@ -37,7 +37,6 @@ from adpbound import (
     check_surrogate_monotonicity,
     evaluate_policy_exact,
     exact_evtg_w,
-    g_avg_eval,
     generate_mdp_instances,
     greedy_string,
     induced_stage_policies,
@@ -103,24 +102,24 @@ class TestPolicyGroundSet:
 class TestAveragedSurrogate:
     def test_empty_string(self, m_chain):
         obj = policy_string_objective(m_chain, myopic_w(m_chain))
-        assert g_avg_eval(obj, ()) == 0.0
+        assert obj.objective.evaluate(()) == 0.0
 
     def test_terminal_identity_on_fixture(self, m_chain):
         obj = policy_string_objective(m_chain, myopic_w(m_chain))
-        assert g_avg_eval(obj, (P0, P0)) == evaluate_policy_exact(m_chain, (P0, P0))
+        stay = obj.ground.index(P0)
+        assert obj.objective.evaluate((stay, stay)) == evaluate_policy_exact(m_chain, (P0, P0))
 
     def test_rollout_single_policy(self, m_chain):
         obj = policy_string_objective(m_chain, stay_rollout(m_chain))
-        assert g_avg_eval(obj, (P2,)) == 5.0
+        assert obj.objective.evaluate((obj.ground.index(P2),)) == 5.0
 
     def test_terminal_identity_sweep(self, mdp_sweep):
         for index, model in enumerate(mdp_sweep[:6]):
-            stage_policies = policy_ground_set(model)
             for name, scheme in schemes_for(model, index).items():
                 obj = policy_string_objective(model, scheme)
-                for string in itertools.product(stage_policies, repeat=model.horizon):
-                    direct = evaluate_policy_exact(model, string)
-                    assert abs(g_avg_eval(obj, string) - direct) <= 1e-12, name
+                for string in itertools.product(range(len(obj.ground)), repeat=model.horizon):
+                    direct = evaluate_policy_exact(model, obj.policies_for(string))
+                    assert abs(obj.objective.evaluate(string) - direct) <= 1e-12, name
 
 
 class TestPdao:
@@ -172,7 +171,7 @@ class TestGps:
 
     def test_exact_scheme_recovers_optimum(self, m_chain):
         obj = policy_string_objective(m_chain, exact_evtg_w(m_chain))
-        assert g_avg_eval(obj, greedy_policies(obj)) == 5.0
+        assert obj.objective.evaluate(greedy_string(obj.objective, m_chain.horizon).string) == 5.0
 
     def test_definitional_identity_with_greedy(self, m_noise):
         # Without a tie at a reached state, the forward run's stage policies
@@ -526,8 +525,8 @@ def test_certificate_matches_node_walk_reference(case):
     assert (cert.holds, cert.worst_slack) == (holds, report.worst_slack)
     if cert.witness is not None:
         prefix, string = cert.witness
-        obj = policy_string_objective(model, w)
-        assert g_avg_eval(obj, string) - g_avg_eval(obj, prefix) < -VALUE_TOL
+        surrogate = SurrogateObjective(model=model, approximator=w)
+        assert reference.g_avg(surrogate, string) - reference.g_avg(surrogate, prefix) < -VALUE_TOL
     assert (cert.witness is None) == holds
 
 
@@ -579,8 +578,30 @@ def test_surrogate_levels_equal_the_per_string_reference(case):
     assert len(tabulated) == len(expected) == model.horizon + 1
     for n in range(model.horizon + 1):
         assert np.array_equal(tabulated[n], expected[n]), n
-    full = tuple(obj.ground[-1] for _ in range(model.horizon))
-    assert g_avg_eval(obj, full) == expected[model.horizon].flat[-1]
+    full = (len(obj.ground) - 1,) * model.horizon
+    assert obj.objective.evaluate(full) == expected[model.horizon].flat[-1]
+
+
+@given(case=models_with_schemes(), data=st.data())
+@settings(max_examples=150)
+def test_stagewise_evidence_holds_off_the_greedy_string(case, data):
+    # A policy string that is not a greedy string: at every stage the maximum
+    # is over the candidates after the string's own prefix, and the attained
+    # value is the string's own prefix value, both as the per-string
+    # reference averages them.
+    model, w = case
+    obj = policy_string_objective(model, w)
+    policies = tuple(data.draw(st.sampled_from(obj.ground)) for _ in range(model.horizon))
+    verified, evidence = check_stagewise_selection(obj, policies)
+    assume(not verified)
+    assert [item.stage for item in evidence] == list(range(1, model.horizon + 1))
+    for item in evidence:
+        prefix = policies[: item.stage - 1]
+        candidates = [reference.g_avg(obj.surrogate, prefix + (c,)) for c in obj.ground]
+        assert item.best_value == max(candidates)
+        assert item.attained_value == reference.g_avg(obj.surrogate, policies[: item.stage])
+        assert item.gap == item.best_value - item.attained_value
+    assert not all(values_agree(i.attained_value, i.best_value) for i in evidence)
 
 
 def relabel_states(model, w, perm):
