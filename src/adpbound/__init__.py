@@ -53,7 +53,6 @@ from .stringopt import (
     curvature_bound,
     forward_curvature_sigma,
     greedy_guarantee_report,
-    greedy_recursion_checks,
     greedy_string,
     optimal_string_bruteforce,
     total_curvature_eta,

@@ -209,16 +209,12 @@ def _scheme_inputs(
     theta = None
     if args.base_policy is not None:
         raw = _load_json_file(args.base_policy)
-        if isinstance(raw, dict):
-            raw = raw.get("base_policy")
         try:
             base_policy = tuple(tuple(int(a) for a in stage) for stage in raw)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"invalid base policy table: {exc}") from None
     if args.theta is not None:
         raw = _load_json_file(args.theta)
-        if isinstance(raw, dict):
-            raw = raw.get("theta")
         try:
             theta = np.asarray(raw, dtype=float)
         except (TypeError, ValueError) as exc:

@@ -70,8 +70,8 @@ def table_tol(tol: float, tables: Sequence[np.ndarray]) -> float:
 
     Returns ``tol * max(1, s)`` with s the largest |f| in ``tables``, so the
     checks that compare differences of table values (the prefix-monotone
-    slack, the diminishing-return gains, the forward-curvature skip threshold
-    and the greedy recursion slacks) give the same verdicts when every value is scaled by a power
+    slack, the diminishing-return gains and the forward-curvature skip
+    threshold) give the same verdicts when every value is scaled by a power
     of two, and keep the absolute ``tol`` on tables of values up to 1.  The
     ratio-against-bound assertions compare a ratio, which has no scale, so
     they keep ``VALUE_TOL`` as it is.

@@ -19,7 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .common import DEFAULT_BUDGET, ensure_budget
-from .mdp import MdpModel, PolicyString, backward_values, enumerate_noise_paths
+from .mdp import (
+    MdpModel,
+    PolicyString,
+    backward_values,
+    enumerate_noise_paths,
+    validate_policy_string,
+)
 
 __all__ = [
     "EvtgApproximator",
@@ -159,8 +165,17 @@ def make_scheme(
     raise ValueError(f"unknown scheme '{name}'")
 
 
+def _check_w_shape(model: MdpModel, approximator: EvtgApproximator) -> None:
+    """Raise ``ValueError`` unless W has the model's (K, S, A) shape."""
+    shape = approximator.table.shape
+    expected = (model.horizon, model.num_states, model.num_actions)
+    if shape != expected:
+        raise ValueError(f"W table has shape {shape}, but the model needs {expected}")
+
+
 def scheme_policy(model: MdpModel, approximator: EvtgApproximator) -> PolicyString:
     """The scheme's action at every (stage, state): argmax of r + W, min-index ties."""
+    _check_w_shape(model, approximator)
     choice = (model.reward + approximator.table).argmax(axis=2)
     return tuple(tuple(int(a) for a in stage) for stage in choice)
 
@@ -171,9 +186,13 @@ def walk_noise_tree(model: MdpModel, policy: PolicyString) -> tuple[PathRecord, 
     ``policy[k][x]`` is the action at state ``x`` of stage ``k + 1``.  Returns
     one record per noise path of :func:`~adpbound.mdp.enumerate_noise_paths`,
     N^(K-1) in lexicographic noise order, with that path's probability; the
-    reward adds the stage rewards from 0.0 in stage order.
+    reward adds the stage rewards from 0.0 in stage order.  ``policy`` must
+    have exactly K stages of in-range actions, else ``ValueError``.
     """
     K = model.horizon
+    if len(policy) != K:
+        raise ValueError(f"policy string has {len(policy)} stages, but the horizon is {K}")
+    validate_policy_string(model, policy)
     records = []
     for path in enumerate_noise_paths(model, K - 1):
         state = model.initial_state

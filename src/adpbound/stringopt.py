@@ -12,25 +12,25 @@ smallest action index and enumerations run in lexicographic order.
 
 The enumerations read value tables, one numpy array of shape ``(m,) * n``
 per string length ``n``, and compute each quantity as elementwise
-expressions and reductions over those tables.  An objective that carries
-its tables (the generated table objectives do) hands its levels over as
-they are; a callable objective is evaluated once per string to fill them.
-The budget counts those strings and is checked before the first one is
-read, whichever way the tables are filled: a function that tabulates
-lengths 0..K needs sum_{n<=K} m^n, one that reads length K only (the
-brute-force optimum and the total curvature) needs m^K.  A non-finite value,
-carried or returned, raises ``ValueError``.  One stage-wise argmax reads
-each stage's m candidates once: from the callable in :func:`greedy_string`
-(m * K evaluations) and the surrogate's Theorem 2 check, and from table
-rows in the guarantee report and the recursion checks.
+expressions and reductions over those tables.  An objective built by
+:func:`table_objective` (the generated table objectives are) hands its
+levels over as they are; a callable objective is evaluated once per string
+to fill them.  The budget counts those strings and is checked before the
+first one is read, whichever way the tables are filled: a function that
+tabulates lengths 0..K needs sum_{n<=K} m^n, one that reads length K only
+(the brute-force optimum and the total curvature) needs m^K.  A non-finite
+value, carried or returned, raises the same ``ValueError``.  One stage-wise
+argmax reads each stage's m candidates once: from the callable in
+:func:`greedy_string` (m * K evaluations) and the surrogate's Theorem 2
+check, and from table rows in the guarantee report.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "table_objective",
     "GreedyTrace",
     "CurvatureReport",
-    "InequalityCheck",
     "greedy_string",
     "optimal_string_bruteforce",
     "check_prefix_monotone",
@@ -64,7 +63,6 @@ __all__ = [
     "curvature_bound",
     "asymptotic_curvature_bound",
     "greedy_guarantee_report",
-    "greedy_recursion_checks",
 ]
 
 
@@ -76,66 +74,50 @@ class StringObjective:
     to a value, return 0 for the empty string, and be deterministic.
     ``horizon`` records the intended maximum string length.
 
-    ``tables`` optionally carries the values of ``evaluate``: level ``n``
-    holds f on every string of length ``n``, shape ``(m,) * n``, for
-    n = 0..horizon.  The enumerations then read the levels instead of
-    calling ``evaluate`` once per string.  Levels are stored read-only.
+    ``tables`` is None for a callable objective.  One built by
+    :func:`table_objective` carries the levels its ``evaluate`` looks values
+    up in, and the enumerations read those levels instead of calling
+    ``evaluate`` once per string.  ``tables`` is not a field, so it takes no
+    part in construction, equality or repr.
     """
 
     evaluate: Callable[[ActionString], float]
     ground_size: int
     horizon: int
-    tables: Optional[Sequence[np.ndarray]] = field(default=None, compare=False, repr=False)
+    tables: ClassVar[Optional[tuple[np.ndarray, ...]]] = None
 
     def __post_init__(self) -> None:
         if self.ground_size < 1:
             raise ValueError("ground set must contain at least one action")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.tables is not None:
-            object.__setattr__(self, "tables", self._checked_tables(self.tables))
         empty = float(self.evaluate(()))
         if empty != 0.0:
             raise ValueError(f"objective must map the empty string to 0, got {empty}")
-
-    def _checked_tables(self, tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-        levels = tuple(_read_only(level) for level in tables)
-        if len(levels) != self.horizon + 1:
-            raise ValueError(f"tables need {self.horizon + 1} levels, got {len(levels)}")
-        for length, level in enumerate(levels):
-            if level.shape != (self.ground_size,) * length:
-                raise ValueError(f"table level {length} has shape {level.shape}")
-            if not np.isfinite(level).all():
-                raise ValueError(f"table level {length} holds a non-finite value")
-        if levels[0] != 0.0:
-            raise ValueError(f"table level 0 must be 0, got {float(levels[0])}")
-        return levels
-
-
-def _read_only(level: np.ndarray) -> np.ndarray:
-    # A level that is already read-only is kept as it is, so no copy is made.
-    array = np.asarray(level, dtype=float)
-    if array.flags.writeable:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
 
 
 def table_objective(levels: Sequence[np.ndarray]) -> StringObjective:
     """The string objective whose values are ``levels``, one per length 0..K.
 
     Level ``n`` holds f on every string of length ``n``, shape ``(m,) * n``;
-    K and m are read off the levels.  The levels are marked read-only in
-    place and carried without a copy.  ``evaluate`` looks a string up in
-    them and raises ``ValueError`` for a string longer than K or an action
-    outside 0..m-1, which numpy would otherwise wrap around.
+    K and m are read off the levels.  There must be at least two levels,
+    every value must be finite and level 0 must be 0.  The levels are marked
+    read-only in place and carried without a copy as ``tables``.
+    ``evaluate`` looks a string up in them and raises ``ValueError`` for a
+    string longer than K or an action outside 0..m-1, which numpy would
+    otherwise wrap around.
     """
     levels = tuple(np.asarray(level, dtype=float) for level in levels)
+    if len(levels) < 2:
+        raise ValueError(f"tables need at least two levels, got {len(levels)}")
+    horizon = len(levels) - 1
+    ground_size = levels[1].shape[0] if levels[1].ndim else 0
+    for length, level in enumerate(levels):
+        if level.shape != (ground_size,) * length:
+            raise ValueError(f"table level {length} has shape {level.shape}")
+        _finite(level)
     for level in levels:
         level.setflags(write=False)
-    horizon = len(levels) - 1
-    # A malformed level 1 is reported by the table validation.
-    ground_size = len(levels[1]) if horizon >= 1 and levels[1].ndim == 1 else 1
 
     def evaluate(string: ActionString) -> float:
         string = tuple(string)
@@ -143,9 +125,10 @@ def table_objective(levels: Sequence[np.ndarray]) -> StringObjective:
             raise ValueError(f"string {string!r} is not in the table")
         return float(levels[len(string)][string])
 
-    return StringObjective(
-        evaluate=evaluate, ground_size=ground_size, horizon=horizon, tables=levels
-    )
+    # The empty-string check of the constructor reads level 0.
+    f = StringObjective(evaluate=evaluate, ground_size=ground_size, horizon=horizon)
+    object.__setattr__(f, "tables", levels)
+    return f
 
 
 @dataclass(frozen=True)
@@ -188,18 +171,6 @@ class CurvatureReport:
     eta_nonpositive: bool
     skipped_terms: int
     flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """One verified inequality linking greedy prefix values to the optimum."""
-
-    label: str
-    stage: Optional[int]
-    lhs: float
-    rhs: float
-    slack: float
-    satisfied: bool
 
 
 def _greedy(
@@ -260,11 +231,7 @@ def _level(f: StringObjective, length: int, budget: int) -> np.ndarray:
         return f.tables[length]
     strings = itertools.product(range(m), repeat=length)
     values = np.fromiter((float(f.evaluate(s)) for s in strings), dtype=float, count=count)
-    values = values.reshape((m,) * length)
-    string = _first(~np.isfinite(values))
-    if string is not None:
-        raise ValueError(f"objective value {values[string]} at {string!r} is not finite")
-    return values
+    return _finite(values.reshape((m,) * length))
 
 
 def _tables(f: StringObjective, horizon: int, budget: int) -> list[np.ndarray]:
@@ -293,6 +260,14 @@ def _first(mask: np.ndarray) -> Optional[ActionString]:
     if not flat.any():
         return None
     return _string_at(int(np.argmax(flat)), mask.shape)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, once no value is NaN or infinite; else ``ValueError`` naming the first."""
+    string = _first(~np.isfinite(values))
+    if string is not None:
+        raise ValueError(f"objective value {values[string]} at {string!r} is not finite")
+    return values
 
 
 def _bruteforce(full: np.ndarray) -> tuple[ActionString, float]:
@@ -600,74 +575,3 @@ def greedy_guarantee_report(
         skipped_terms=skipped,
         flags=tuple(flags),
     )
-
-
-def greedy_recursion_checks(
-    f: StringObjective,
-    horizon: int,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[InequalityCheck, ...]:
-    """Verify the inequalities that chain greedy prefix values to the optimum.
-
-    Three families are checked numerically for a prefix-monotone objective:
-    the first greedy value against its share of the optimum, the stage
-    recursion linking consecutive greedy prefixes, and the fully chained
-    consequence of that recursion.  All must hold with slack >= -VALUE_TOL,
-    scaled to the values by :func:`~adpbound.common.table_tol`, whenever the
-    guarantee itself holds, so a violation points at an implementation bug
-    rather than at the instance.
-    """
-    tables = _tables(f, horizon, budget)
-    tol = table_tol(VALUE_TOL, tables)
-    trace, _ = _greedy(lambda prefix: tables[len(prefix) + 1][prefix], horizon)
-    _, optimal_value = _bruteforce(tables[horizon])
-    eta, _ = _eta(tables[horizon], trace, horizon) if horizon >= 2 else (0.0, 0)
-    sigma, _ = _sigma(tables, trace, horizon)
-
-    share = (1.0 - sigma) / horizon
-    decay = 1.0 - eta * share
-    checks: list[InequalityCheck] = []
-
-    lhs = trace.prefix_values[0]
-    rhs = share * optimal_value
-    checks.append(
-        InequalityCheck(
-            label="first_stage_share",
-            stage=None,
-            lhs=lhs,
-            rhs=rhs,
-            slack=lhs - rhs,
-            satisfied=lhs - rhs >= -tol,
-        )
-    )
-
-    for i in range(1, horizon):
-        lhs = trace.prefix_values[i]
-        rhs = share * optimal_value + decay * trace.prefix_values[i - 1]
-        checks.append(
-            InequalityCheck(
-                label="stage_recursion",
-                stage=i,
-                lhs=lhs,
-                rhs=rhs,
-                slack=lhs - rhs,
-                satisfied=lhs - rhs >= -tol,
-            )
-        )
-
-    chained = 0.0
-    for t in range(horizon - 1):
-        chained += decay**t * share * optimal_value
-    chained += decay ** (horizon - 1) * trace.prefix_values[0]
-    lhs = trace.prefix_values[-1]
-    checks.append(
-        InequalityCheck(
-            label="chained_recursion",
-            stage=None,
-            lhs=lhs,
-            rhs=chained,
-            slack=lhs - chained,
-            satisfied=lhs - chained >= -tol,
-        )
-    )
-    return tuple(checks)

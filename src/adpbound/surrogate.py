@@ -48,7 +48,7 @@ from .mdp import (
     bellman_solve,
     enumerate_noise_paths,
 )
-from .schemes import AdpRun, EvtgApproximator, PathRecord, adp_forward
+from .schemes import AdpRun, EvtgApproximator, PathRecord, _check_w_shape, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
@@ -165,6 +165,7 @@ class PolicyStringObjective:
 
 def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> PolicyStringObjective:
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
+    _check_w_shape(model, approximator)
     ground = policy_ground_set(model)
     surrogate = SurrogateObjective(model=model, approximator=approximator)
     # The noise paths a string of each length sees, enumerated once; none for the empty string.

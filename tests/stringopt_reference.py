@@ -5,15 +5,22 @@ value tables.  The functions here walk the same strings one at a time through
 a memoized callable, in lexicographic order, with the same formulas in the
 same order of operations, so the table code must agree with them exactly:
 values, witnesses, tie sets and skipped-term counts.
+
+:func:`recursion_checks` keeps the proof's stage inequalities, which the
+library does not compute: it checks them against the values the guarantee
+report returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from adpbound import GreedyTrace, StringObjective, UndefinedCurvatureError
+from adpbound.common import VALUE_TOL
+from adpbound.stringopt import CurvatureReport
 
 ActionString = tuple[int, ...]
 
@@ -156,3 +163,52 @@ def sigma(f: StringObjective, trace: GreedyTrace, horizon: int, tol: float) -> t
     if best == -math.inf:
         raise UndefinedCurvatureError("every forward-curvature term was skipped")
     return best, skipped
+
+
+@dataclass(frozen=True)
+class InequalityCheck:
+    """One stage inequality of the guarantee's proof: ``lhs >= rhs`` up to the tolerance."""
+
+    label: str
+    stage: Optional[int]
+    lhs: float
+    rhs: float
+    slack: float
+    satisfied: bool
+
+
+def recursion_checks(
+    f: StringObjective, horizon: int, report: CurvatureReport
+) -> tuple[InequalityCheck, ...]:
+    """The inequalities that chain greedy prefix values to the optimum.
+
+    Three families, read along the smallest-index greedy trace with the eta,
+    sigma and optimum of ``report``: the first greedy value against its share
+    of the optimum, the stage recursion linking consecutive greedy prefixes,
+    and the fully chained consequence of that recursion.  For a
+    prefix-monotone objective every slack is at least ``-VALUE_TOL`` scaled
+    by :func:`table_tol`, so a violation points at an implementation bug
+    rather than at the instance.  A single stage has no total curvature and
+    takes eta = 0; otherwise both curvatures must be defined.
+    """
+    eta = report.eta if horizon >= 2 else 0.0
+    if math.isnan(eta) or math.isnan(report.sigma):
+        raise UndefinedCurvatureError("the stage inequalities need both curvatures")
+    values = greedy(f, horizon).prefix_values
+    optimum = report.optimal_value
+    tol = table_tol(f, horizon, VALUE_TOL)
+    share = (1.0 - report.sigma) / horizon
+    decay = 1.0 - eta * share
+
+    sides = [("first_stage_share", None, values[0], share * optimum)]
+    for i in range(1, horizon):
+        sides.append(("stage_recursion", i, values[i], share * optimum + decay * values[i - 1]))
+    chained = 0.0
+    for t in range(horizon - 1):
+        chained += decay**t * share * optimum
+    chained += decay ** (horizon - 1) * values[0]
+    sides.append(("chained_recursion", None, values[-1], chained))
+    return tuple(
+        InequalityCheck(label, stage, lhs, rhs, lhs - rhs, lhs - rhs >= -tol)
+        for label, stage, lhs, rhs in sides
+    )

@@ -26,7 +26,6 @@ from adpbound import (
     curvature_bound,
     exact_evtg_w,
     greedy_guarantee_report,
-    greedy_recursion_checks,
     myopic_w,
     policy_string_objective,
     rollout_w,
@@ -35,6 +34,7 @@ from adpbound import (
 from adpbound.cli import main
 from conftest import chain_model, schemes_for
 from mdp_reference import path_policy_value
+from stringopt_reference import recursion_checks
 
 TOL = 1e-12
 
@@ -85,7 +85,7 @@ def test_recursion_inequalities_sweep(string_reports):
     for kind, horizon, objective, report in string_reports:
         if math.isnan(report.eta) or math.isnan(report.sigma):
             continue
-        for check in greedy_recursion_checks(objective, horizon):
+        for check in recursion_checks(objective, horizon, report):
             assert check.slack >= -TOL, (kind, horizon, check.label)
     _announce("greedy recursion inequalities nonnegative on the sweep")
 

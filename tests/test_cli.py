@@ -460,6 +460,23 @@ class TestExitCodes:
                      "--theta", str(theta)]) == 2
 
     @pytest.mark.parametrize(
+        "scheme, option, key, table",
+        [
+            ("linearq", "--theta", "theta", [[2.0], [5.0]]),
+            ("rollout", "--base-policy", "base_policy", [[1, 0], [0, 1]]),
+        ],
+        ids=["theta", "base_policy"],
+    )
+    def test_parse_error_for_a_wrapped_scheme_table(self, chain_file, tmp_path, scheme, option,
+                                                    key, table, capsys):
+        # Scheme tables are bare JSON arrays; one wrapped in an object is malformed.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({key: table}))
+        assert main(["run-adp", "--model", chain_file, "--scheme", scheme, option,
+                     str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid ")
+
+    @pytest.mark.parametrize(
         "command, scheme, option, reader, table",
         [
             ("run-adp", "myopic", "--theta", "linearq", [[2.0], [5.0]]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,20 +13,28 @@ from hypothesis import strategies as st
 
 from adpbound import (
     EvtgApproximator,
+    GeneratedInstanceSpec,
     MdpModel,
+    adp_bound_report,
     adp_forward,
     bellman_solve,
+    check_surrogate_monotonicity,
     enumerate_noise_paths,
+    evaluate_policy_exact,
     exact_evtg_w,
+    generate_mdp_instances,
+    instance_rng,
     linear_q_w,
     make_scheme,
     myopic_w,
+    random_base_policy,
     rollout_w,
     scheme_policy,
     simulate_policy_mc,
 )
+from adpbound.common import VALUE_TOL, values_agree
 from adpbound.schemes import walk_noise_tree
-from conftest import chain_model, schemes_for
+from conftest import GO, chain_model, schemes_for
 from mdp_reference import trajectory_reward
 
 STAY_BASE = ((0, 0), (0, 0))
@@ -67,8 +76,6 @@ class TestRollout:
             model = dataclasses.replace(
                 chain_model(), reward=np.array([[stay_reward, 0.0], [5.0, 5.0]])
             )
-            from adpbound import evaluate_policy_exact
-
             base_value = evaluate_policy_exact(model, STAY_BASE)
             run = adp_forward(model, rollout_w(model, STAY_BASE))
             assert run.expected_value >= base_value - 1e-12
@@ -174,6 +181,22 @@ class TestForwardScheme:
         for a, b in zip(original.paths, moved.paths):
             assert a.actions == b.actions
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 2, 2), (3, 3, 2), (3, 2, 3), (2, 2, 2)],
+        ids=["extra_stage", "extra_state", "extra_action", "missing_stage"],
+    )
+    @pytest.mark.parametrize(
+        "entry", [adp_bound_report, adp_forward, check_surrogate_monotonicity],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_table_must_match_the_model(self, shape, entry):
+        spec = GeneratedInstanceSpec(kind="random_mdp", count=1, seed=5, horizon=3)
+        model = generate_mdp_instances(spec)[0]
+        message = f"W table has shape {shape}, but the model needs (3, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(model, EvtgApproximator(np.zeros(shape)))
+
     def test_make_scheme_validation(self, m_chain):
         with pytest.raises(ValueError):
             make_scheme(m_chain, "rollout")
@@ -215,6 +238,37 @@ class TestForwardMonteCarlo:
         assert simulate_scheme(m_noise, scheme, 500, seed=9) == simulate_scheme(
             m_noise, scheme, 500, seed=9
         )
+
+
+ROLLOUT_BASE_SEED = 4242
+
+
+def test_rollout_improves_its_base_and_exact_evtg_is_optimal(mdp_sweep):
+    # Policy improvement: acting greedily on the base policy's exact value-to-go
+    # never does worse than the base; on the exact value-to-go it is optimal.
+    for index, model in enumerate(mdp_sweep):
+        rng = instance_rng(ROLLOUT_BASE_SEED, index)
+        for _ in range(3):
+            base = random_base_policy(rng, model)
+            improved = adp_forward(model, rollout_w(model, base)).expected_value
+            value = evaluate_policy_exact(model, base)
+            assert improved >= value - VALUE_TOL * max(1.0, abs(improved), abs(value)), index
+        _, tables = bellman_solve(model)
+        optimum = float(tables.V[0, model.initial_state])
+        assert values_agree(adp_forward(model, exact_evtg_w(model)).expected_value, optimum), index
+
+
+@pytest.mark.parametrize("policy", [((0, 0),) * 3, ((0, 0),)], ids=["three_stages", "one_stage"])
+def test_walk_needs_one_stage_policy_per_stage(m_chain, policy):
+    with pytest.raises(ValueError, match="stages, but the horizon is 2"):
+        walk_noise_tree(m_chain, policy)
+
+
+@pytest.mark.parametrize("action", [2, -1])
+def test_walk_rejects_an_out_of_range_action(m_chain, action):
+    # Leaving state 0 at stage 1 reaches state 1, whose stage-2 action is out of range.
+    with pytest.raises(ValueError, match="out of range"):
+        walk_noise_tree(m_chain, ((GO, 0), (0, action)))
 
 
 @st.composite

@@ -24,12 +24,12 @@ from adpbound import (
     curvature_bound,
     forward_curvature_sigma,
     greedy_guarantee_report,
-    greedy_recursion_checks,
     greedy_string,
     optimal_string_bruteforce,
     total_curvature_eta,
 )
 from conftest import distinct_objective, length_objective, table_objective
+from stringopt_reference import recursion_checks
 
 
 class TestGreedy:
@@ -267,7 +267,8 @@ class TestGuaranteeReport:
 
 class TestRecursionChecks:
     def test_distinct_objective_first_stage_tight(self):
-        checks = greedy_recursion_checks(distinct_objective(), 2)
+        f = distinct_objective()
+        checks = recursion_checks(f, 2, greedy_guarantee_report(f, 2))
         first = checks[0]
         assert first.label == "first_stage_share"
         # f(G_1) = 1 and the share of the optimum is (1/2) * 2 = 1.
@@ -276,7 +277,8 @@ class TestRecursionChecks:
         assert first.satisfied
 
     def test_length_objective_three_stages(self):
-        checks = greedy_recursion_checks(length_objective(2, 3), 3)
+        f = length_objective(2, 3)
+        checks = recursion_checks(f, 3, greedy_guarantee_report(f, 3))
         assert {c.label for c in checks} == {
             "first_stage_share",
             "stage_recursion",
@@ -310,5 +312,5 @@ def test_random_monotone_tables_obey_guarantee(data):
     if not math.isnan(report.sigma):
         assert -1e-12 <= report.sigma <= 1.0 + 1e-12
     if not math.isnan(report.eta) and not math.isnan(report.sigma):
-        for check in greedy_recursion_checks(f, horizon):
+        for check in recursion_checks(f, horizon, report):
             assert check.slack >= -1e-12

@@ -8,6 +8,7 @@ tolerance: values, witnesses, tie sets, skipped-term counts and flags.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 
@@ -29,7 +30,6 @@ from adpbound import (
     forward_curvature_sigma,
     generate_string_instances,
     greedy_guarantee_report,
-    greedy_recursion_checks,
     greedy_string,
     optimal_string_bruteforce,
     total_curvature_eta,
@@ -266,7 +266,7 @@ def test_table_path_is_the_callable_path(kind, ground, horizon, seed):
         (check_diminishing_return, horizon),
         (total_curvature_eta, trace, horizon),
         (forward_curvature_sigma, trace, horizon),
-        (greedy_recursion_checks, horizon),
+        (lambda f: reference.recursion_checks(f, horizon, greedy_guarantee_report(f, horizon)),),
     ]
     for fn, *args in calls:
         assert _same(_outcome(fn, tabled, *args), _outcome(fn, plain, *args)), fn
@@ -276,9 +276,9 @@ def test_table_path_is_the_callable_path(kind, ground, horizon, seed):
 def test_report_reads_carried_tables_without_evaluating(kind):
     f = _objective(kind, 4, 4, 11)
     counted = CountingObjective(f)
-    tabled = StringObjective(
-        evaluate=counted._evaluate, ground_size=f.ground_size, horizon=f.horizon, tables=f.tables
-    )
+    # The same levels, with the lookup swapped for a recording one of the same values.
+    tabled = copy.copy(f)
+    object.__setattr__(tabled, "evaluate", counted._evaluate)
     counted.calls.clear()
     report = greedy_guarantee_report(tabled, 4)
     assert counted.calls == []
@@ -305,9 +305,6 @@ NON_FINITE = {
 @pytest.mark.parametrize(
     "tables",
     [
-        pytest.param(_levels(2, 2), id="too_few_levels"),
-        pytest.param(_levels(2, 4), id="too_many_levels"),
-        pytest.param(_levels(3, 3), id="wrong_ground_size"),
         pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros((2, 3)))), id="wrong_shape"),
         pytest.param(_broken(lambda t: t.__setitem__(2, np.zeros(4))), id="flattened_level"),
         pytest.param(_broken(lambda t: t.__setitem__(0, np.ones(()))), id="nonzero_empty"),
@@ -316,7 +313,7 @@ NON_FINITE = {
 )
 def test_carried_tables_are_validated(tables):
     with pytest.raises(ValueError):
-        StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3, tables=tables)
+        table_objective(tables)
 
 
 @pytest.mark.parametrize("change", NON_FINITE.values(), ids=NON_FINITE.keys())
@@ -327,8 +324,12 @@ def test_non_finite_values_of_a_callable_are_rejected(change):
                         horizon=3)
     with pytest.raises(ValueError, match="not finite"):
         greedy_guarantee_report(f, 3)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite") as computed:
         check_prefix_monotone(f, 3)
+    # Carried, they are refused with the same message.
+    with pytest.raises(ValueError) as carried:
+        table_objective(levels)
+    assert str(carried.value) == str(computed.value)
 
 
 @pytest.mark.parametrize("string", [(0,), (1,), (0, 1)])
@@ -343,19 +344,22 @@ def test_greedy_string_rejects_a_non_finite_candidate(string, bad):
 
 
 def test_carried_tables_are_stored_read_only():
-    levels = _levels(2, 3)
-    f = StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3, tables=levels)
+    f = table_objective(_levels(2, 3))
     assert isinstance(f.tables, tuple)
     for stored in f.tables:
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[...] = 1.0
-    # The caller's arrays are copied, not frozen in place.
-    levels[1][0] = 5.0
-    assert f.tables[1][0] == 1.0
     plain = StringObjective(evaluate=f.evaluate, ground_size=2, horizon=3)
     assert f == plain
     assert repr(f) == repr(plain)
+
+
+def test_only_table_objective_carries_levels():
+    f = StringObjective(evaluate=lambda s: float(len(s)), ground_size=2, horizon=3)
+    assert f.tables is None
+    with pytest.raises(TypeError):
+        StringObjective(evaluate=f.evaluate, ground_size=2, horizon=3, tables=_levels(2, 3))
 
 
 def test_table_objective_carries_the_levels_it_is_given():
@@ -416,9 +420,11 @@ def test_checks_are_unchanged_by_scaling_with_a_power_of_two(k):
     # the sums round its slack one unit in the last place below 0.
     first, second = np.array([9.0, 3.0]) / 7, np.array([1.0, 1.0]) / 7
     levels = [np.zeros(()), first, first[:, None] + second]
-    checks = greedy_recursion_checks(table_objective(levels), 2)
+    f = table_objective(levels)
+    checks = reference.recursion_checks(f, 2, greedy_guarantee_report(f, 2))
     assert min(check.slack for check in checks) < 0.0
-    scaled_checks = greedy_recursion_checks(table_objective([v * 2.0**k for v in levels]), 2)
+    scaled = table_objective([v * 2.0**k for v in levels])
+    scaled_checks = reference.recursion_checks(scaled, 2, greedy_guarantee_report(scaled, 2))
     assert [check.satisfied for check in scaled_checks] == [check.satisfied for check in checks]
     assert all(check.satisfied for check in checks)
     assert [check.slack for check in scaled_checks] == [check.slack * 2.0**k for check in checks]
