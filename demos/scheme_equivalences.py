@@ -53,7 +53,7 @@ def main() -> None:
         print(f"  expected value {run.expected_value:.2f}")
 
         obj = policy_string_objective(model, scheme)
-        ok, mismatches = check_path_greedy(obj.surrogate, run)
+        ok, mismatches = check_path_greedy(model, scheme, run)
         print(f"  path-dependent greedy on every path: {ok} (mismatches: {len(mismatches)})")
 
         verified, evidence = check_stagewise_selection(obj, induced_stage_policies(run, model))

@@ -58,7 +58,6 @@ from .stringopt import (
     total_curvature_eta,
 )
 from .surrogate import (
-    SurrogateObjective,
     adp_bound_report,
     bound_report_to_dict,
     check_adp_pdao_identity,

@@ -48,7 +48,7 @@ from .generators import (
     random_base_policy,
     random_theta,
 )
-from .mdp import MdpModel, PolicyString, bellman_solve, load_model, simulate_policy_mc
+from .mdp import MdpModel, PolicyString, _is_integer, bellman_solve, load_model, simulate_policy_mc
 from .reporting import csv_text, json_text, write_text_atomic
 from .schemes import adp_forward, make_scheme, scheme_policy
 from .stringopt import StringObjective, greedy_guarantee_report
@@ -209,10 +209,13 @@ def _scheme_inputs(
     theta = None
     if args.base_policy is not None:
         raw = _load_json_file(args.base_policy)
-        try:
-            base_policy = tuple(tuple(int(a) for a in stage) for stage in raw)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"invalid base policy table: {exc}") from None
+        if not isinstance(raw, list) or not all(
+            isinstance(stage, list) and all(map(_is_integer, stage)) for stage in raw
+        ):
+            raise ModelFormatError(
+                "invalid base policy table: need one array of integer actions per stage"
+            )
+        base_policy = tuple(map(tuple, raw))
     if args.theta is not None:
         raw = _load_json_file(args.theta)
         try:
@@ -339,16 +342,7 @@ def cmd_run_adp(args: argparse.Namespace) -> int:
         report.update({
             "mode": "exact",
             "expected_value": run.expected_value,
-            "paths": [
-                {
-                    "noise": list(p.noise),
-                    "probability": p.probability,
-                    "states": list(p.states),
-                    "actions": list(p.actions),
-                    "reward": p.reward,
-                }
-                for p in run.paths
-            ],
+            "paths": [dataclasses.asdict(record) for record in run.paths],
         })
     _emit_single(report, args)
     return EXIT_OK

@@ -82,6 +82,10 @@ class MdpModel:
             raise ValueError("horizon must be at least 1")
         if not 0 <= self.initial_state < self.num_states:
             raise ValueError("initial state out of range")
+        for labels, size, what in ((self.state_labels, self.num_states, "state"),
+                                   (self.action_labels, self.num_actions, "action")):
+            if labels is not None and len(labels) != size:
+                raise ValueError(f"{len(labels)} {what} labels for {size} {what}s")
 
         probs = np.asarray(self.noise_probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
@@ -260,20 +264,43 @@ def simulate_policy_mc(
     return mean, stderr
 
 
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integers(value) -> bool:
+    """Whether a JSON value is an integer or an array, nested to any depth, of integers."""
+    if isinstance(value, list):
+        return all(_integers(item) for item in value)
+    return _is_integer(value)
+
+
 def model_from_dict(data: dict) -> MdpModel:
-    """Build a model from the JSON instance schema, rejecting malformed input."""
+    """Build a model from the JSON instance schema, rejecting malformed input.
+
+    Sizes, the initial state, transition targets and noise symbols must be
+    JSON integers; none is rounded or converted from another type.
+    """
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     required = ["states", "actions", "horizon", "initial_state", "noise", "transition", "reward"]
     for key in required:
         if key not in data:
             raise ModelFormatError(f"model file is missing required field '{key}'")
+    for key in ("states", "actions", "horizon", "initial_state"):
+        if not _is_integer(data[key]):
+            raise ModelFormatError(f"'{key}' must be an integer, got {data[key]!r}")
+    if not _integers(data["transition"]):
+        raise ModelFormatError("'transition' entries must be integer state indices")
     noise = data["noise"]
     if not isinstance(noise, dict) or "support" not in noise or "probs" not in noise:
         raise ModelFormatError("'noise' must be an object with 'support' and 'probs'")
+    if not isinstance(noise["support"], list) or not all(map(_is_integer, noise["support"])):
+        raise ModelFormatError("'noise.support' must be an array of integers")
+    support = tuple(noise["support"])
     try:
         probs = np.asarray(noise["probs"], dtype=float)
-        support = tuple(int(s) for s in noise["support"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid noise block: {exc}") from None
     if probs.ndim != 1 or len(support) != probs.size:
@@ -288,10 +315,10 @@ def model_from_dict(data: dict) -> MdpModel:
         raise ModelFormatError("'labels' must be an object")
     try:
         return MdpModel(
-            num_states=int(data["states"]),
-            num_actions=int(data["actions"]),
-            horizon=int(data["horizon"]),
-            initial_state=int(data["initial_state"]),
+            num_states=data["states"],
+            num_actions=data["actions"],
+            horizon=data["horizon"],
+            initial_state=data["initial_state"],
             noise_probs=probs,
             transition=np.asarray(data["transition"], dtype=np.int64),
             reward=np.asarray(data["reward"], dtype=float),
@@ -300,7 +327,7 @@ def model_from_dict(data: dict) -> MdpModel:
             state_labels=None if "states" not in labels else tuple(str(s) for s in labels["states"]),
             action_labels=None if "actions" not in labels else tuple(str(s) for s in labels["actions"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(str(exc)) from None
 
 

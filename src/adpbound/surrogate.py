@@ -12,15 +12,16 @@ scheme's own greedy string therefore bounds the ADP scheme against the true
 optimum, whatever its tie-breaking, certified whenever the averaged
 surrogate is prefix-monotone.
 
-The scheme enters only through its W table.  The averaged surrogate averages
-realized paths over a given list of noise paths (``_g_avg``) and keeps no
-values; its string objective enumerates the noise paths of each string
-length once and scores every string of that length over them.  The bound
-report fills one numpy level table per string length from it, each policy
-string once, and hands the levels over as a table objective, which the
-Theorem 2 check and the guarantee report then read.  The monotonicity
-certificate is the prefix-monotone check on those tables; its independent
-route, a node-by-node walk of the policy-string tree, lives with the tests.
+The scheme enters only through its W table, so the surrogate is the pair
+(model, approximator) itself.  The averaged surrogate averages realized
+paths over a given list of noise paths (``_g_avg``) and keeps no values;
+its string objective enumerates the noise paths of each string length once
+and scores every string of that length over them.  The bound report fills
+one numpy level table per string length from it, each policy string once,
+and hands the levels over as a table objective, which the Theorem 2 check
+and the guarantee report then read.  The monotonicity certificate is the
+prefix-monotone check on those tables; its independent route, a
+node-by-node walk of the policy-string tree, lives with the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .mdp import (
     bellman_solve,
     enumerate_noise_paths,
 )
-from .schemes import AdpRun, EvtgApproximator, PathRecord, _check_w_shape, adp_forward
+from .schemes import AdpRun, EvtgApproximator, _check_w_shape, adp_forward
 from .stringopt import (
     CurvatureReport,
     StringObjective,
@@ -61,13 +62,13 @@ from .stringopt import (
 )
 
 __all__ = [
-    "SurrogateObjective",
     "PolicyStringObjective",
     "StageEvidence",
     "MonotonicityCertificate",
     "AdpBoundReport",
     "budget_preflight",
     "policy_ground_set",
+    "policy_string_objective",
     "induced_stage_policies",
     "check_stagewise_selection",
     "check_path_greedy",
@@ -80,53 +81,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurrogateObjective:
-    """Path objective: accumulated reward plus the final continuation estimate."""
-
-    model: MdpModel
-    approximator: EvtgApproximator
-
-    def evaluate_path(self, states: Sequence[int], actions: Sequence[int]) -> float:
-        """Score a realized path of equal-length state and action sequences.
-
-        At full horizon the continuation term is dropped entirely, so the
-        score is the plain cumulative reward.
-        """
-        k = len(actions)
-        if len(states) != k:
-            raise ValueError("state and action sequences must have equal length")
-        if not 1 <= k <= self.model.horizon:
-            raise ValueError("path length must be between 1 and the horizon")
-        reward = self.model.reward
-        total = 0.0
-        for x, a in zip(states, actions):
-            total += float(reward[x, a])
-        if k < self.model.horizon:
-            total += float(self.approximator.evaluate(k, states[-1], actions[-1]))
-        return total
-
-
 def policy_ground_set(model: MdpModel) -> tuple[MarkovPolicy, ...]:
     """Every deterministic stage policy, lexicographically ordered by its table."""
     return tuple(itertools.product(range(model.num_actions), repeat=model.num_states))
 
 
 def _g_avg(
-    surrogate: SurrogateObjective, policies: PolicyString, paths: Sequence[NoisePath]
+    model: MdpModel, approximator: EvtgApproximator, policies: PolicyString, paths: Sequence[NoisePath]
 ) -> float:
     """The averaged surrogate of ``policies`` over ``paths``, its noise paths.
 
-    Each path's score adds the rewards from 0.0 in stage order and then the
-    continuation estimate, as :meth:`SurrogateObjective.evaluate_path` does,
-    and the scores are averaged in path order.  The value is therefore the
-    same to the last bit whether the caller enumerated ``paths`` for this
-    string alone or once for a whole level.
+    Each path's score adds the rewards from 0.0 in stage order and then W at
+    the last pair, left out at full length, and the scores are averaged in
+    path order.  The value is therefore the same to the last bit whether the
+    caller enumerated ``paths`` for this string alone or once for a whole
+    level.
     """
     k = len(policies)
-    model = surrogate.model
     reward = model.reward
     transition = model.transition
+    w = approximator.table
     total = 0.0
     for path in paths:
         state = model.initial_state
@@ -137,7 +111,7 @@ def _g_avg(
             if i < k - 1:
                 state = int(transition[state, action, path.symbols[i]])
         if k < model.horizon:
-            score += float(surrogate.approximator.evaluate(k, state, action))
+            score += float(w[k - 1, state, action])
         total += path.probability * score
     return float(total)
 
@@ -155,7 +129,8 @@ class PolicyStringObjective:
     once per level.
     """
 
-    surrogate: SurrogateObjective
+    model: MdpModel
+    approximator: EvtgApproximator
     ground: tuple[MarkovPolicy, ...]
     objective: StringObjective
 
@@ -167,19 +142,18 @@ def policy_string_objective(model: MdpModel, approximator: EvtgApproximator) -> 
     """Wrap the averaged surrogate of (model, approximator) as a string objective."""
     _check_w_shape(model, approximator)
     ground = policy_ground_set(model)
-    surrogate = SurrogateObjective(model=model, approximator=approximator)
     # The noise paths a string of each length sees, enumerated once; none for the empty string.
     paths = functools.cache(lambda length: enumerate_noise_paths(model, length - 1) if length else [])
 
     def evaluate(indices: tuple[int, ...]) -> float:
         if len(indices) > model.horizon:
             raise ValueError("policy string longer than the horizon")
-        return _g_avg(surrogate, tuple(ground[i] for i in indices), paths(len(indices)))
+        return _g_avg(model, approximator, tuple(ground[i] for i in indices), paths(len(indices)))
 
     objective = StringObjective(
         evaluate=evaluate, ground_size=len(ground), horizon=model.horizon
     )
-    return PolicyStringObjective(surrogate=surrogate, ground=ground, objective=objective)
+    return PolicyStringObjective(model, approximator, ground, objective)
 
 
 def induced_stage_policies(run: AdpRun, model: MdpModel) -> PolicyString:
@@ -237,53 +211,49 @@ def check_stagewise_selection(
 
 
 def check_path_greedy(
-    surrogate: SurrogateObjective, run: AdpRun
+    model: MdpModel, approximator: EvtgApproximator, run: AdpRun
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Verify that a forward run is path-dependent greedy selection on the surrogate.
 
     At every node of the run's noise tree the action taken must maximize the
-    surrogate's path score over actions, compared with :func:`values_agree`:
-    the path score adds the accumulated reward to r + W, so on an exact tie
-    the two sums can round apart, and either tied action is a greedy choice.
-    Applied to the scheme's own forward run this is its Proposition 1
-    identity.  Returns the noise paths through a node where it fails.
+    path score over actions: the reward accumulated from 0.0 in stage order,
+    plus r + W at the node's state, W left out at the last stage.  The
+    scores are compared with :func:`values_agree`, since on an exact tie of
+    r + W the two sums can round apart, and either tied action is a greedy
+    choice.  Applied to the scheme's own forward run this is its
+    Proposition 1 identity.  Returns the noise paths through a node where it
+    fails, each path flagged at its first such node.
     """
-    model = surrogate.model
-    verdicts: dict[tuple[int, ...], bool] = {}
-
-    def greedy_at(record: PathRecord, stage: int) -> bool:
-        node = record.noise[:stage]
-        if node not in verdicts:
-            states = record.states[: stage + 1]
-            taken = list(record.actions[:stage])
-            scores = [
-                surrogate.evaluate_path(states, taken + [action])
-                for action in range(model.num_actions)
-            ]
-            verdicts[node] = values_agree(scores[record.actions[stage]], max(scores))
-        return verdicts[node]
-
-    mismatches = tuple(
-        record.noise
-        for record in run.paths
-        if not all(greedy_at(record, stage) for stage in range(model.horizon))
-    )
-    return not mismatches, mismatches
+    _check_w_shape(model, approximator)
+    last = model.horizon - 1
+    reward = model.reward
+    w = approximator.table
+    actions = range(model.num_actions)
+    mismatches = []
+    for record in run.paths:
+        running = 0.0
+        for stage, (state, taken) in enumerate(zip(record.states, record.actions)):
+            scores = [running + float(reward[state, a]) for a in actions]
+            if stage < last:
+                scores = [score + float(w[stage, state, a]) for a, score in enumerate(scores)]
+            if not values_agree(scores[taken], max(scores)):
+                mismatches.append(record.noise)
+                break
+            running += float(reward[state, taken])
+    return not mismatches, tuple(mismatches)
 
 
 def check_pdao_gps_equivalence(obj: PolicyStringObjective) -> tuple[bool, tuple[StageEvidence, ...]]:
     """Run the scheme forward and check its stage policies with :func:`check_stagewise_selection`."""
-    model = obj.surrogate.model
-    run = adp_forward(model, obj.surrogate.approximator)
-    return check_stagewise_selection(obj, induced_stage_policies(run, model))
+    run = adp_forward(obj.model, obj.approximator)
+    return check_stagewise_selection(obj, induced_stage_policies(run, obj.model))
 
 
 def check_adp_pdao_identity(
     model: MdpModel, approximator: EvtgApproximator
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Run the scheme forward and check the run with :func:`check_path_greedy`."""
-    run = adp_forward(model, approximator)
-    return check_path_greedy(SurrogateObjective(model=model, approximator=approximator), run)
+    return check_path_greedy(model, approximator, adp_forward(model, approximator))
 
 
 @dataclass(frozen=True)
@@ -399,7 +369,7 @@ def adp_bound_report(
         obj = dataclasses.replace(obj, objective=table_objective(levels))
     induced = induced_stage_policies(run, model)
     gps_ok, evidence = check_stagewise_selection(obj, induced)
-    identity_ok, mismatches = check_path_greedy(obj.surrogate, run)
+    identity_ok, mismatches = check_path_greedy(model, approximator, run)
 
     if not bound_fits:
         flags.append("bound_not_computed")

@@ -2,10 +2,11 @@
 
 ``g_avg`` averages the surrogate over noise one policy string at a time:
 it enumerates the string's noise paths afresh, records each realized path
-and scores it with ``SurrogateObjective.evaluate_path``.  The library
-enumerates each length's paths once and scores every string of that length
-over them with the same floating-point operations in the same order, so
-its level tables must equal ``surrogate_levels`` with ``==``.
+and scores it with ``path_score``, which reads W through the public
+``evaluate``.  The library enumerates each length's paths once and scores
+every string of that length over them with the same floating-point
+operations in the same order, so its level tables must equal
+``surrogate_levels`` with ``==``.
 
 ``scheme_policy`` scores every (stage, state, action) one at a time; the
 library computes it as one array argmax with the same floating-point
@@ -30,21 +31,38 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from adpbound.common import VALUE_TOL
 from adpbound.mdp import MarkovPolicy, MdpModel, PolicyString, enumerate_noise_paths
 from adpbound.schemes import EvtgApproximator, PathRecord
-from adpbound.surrogate import SurrogateObjective, policy_ground_set
+from adpbound.surrogate import policy_ground_set
 
 
-def g_avg(surrogate: SurrogateObjective, policies: PolicyString) -> float:
+def path_score(
+    model: MdpModel, approximator: EvtgApproximator, states: Sequence[int], actions: Sequence[int]
+) -> float:
+    """Accumulated reward of a realized path plus W at its last pair, dropped at full horizon."""
+    k = len(actions)
+    if len(states) != k:
+        raise ValueError("state and action sequences must have equal length")
+    if not 1 <= k <= model.horizon:
+        raise ValueError("path length must be between 1 and the horizon")
+    total = 0.0
+    for x, a in zip(states, actions):
+        total += float(model.reward[x, a])
+    if k < model.horizon:
+        total += float(approximator.evaluate(k, states[-1], actions[-1]))
+    return total
+
+
+def g_avg(model: MdpModel, approximator: EvtgApproximator, policies: PolicyString) -> float:
     """Exact noise expectation of the surrogate along one policy string."""
     k = len(policies)
     if k == 0:
         return 0.0
-    model = surrogate.model
     total = 0.0
     for path in enumerate_noise_paths(model, k - 1):
         state = model.initial_state
@@ -56,18 +74,17 @@ def g_avg(surrogate: SurrogateObjective, policies: PolicyString) -> float:
             if i < k - 1:
                 state = int(model.transition[state, action, path.symbols[i]])
                 states.append(state)
-        total += path.probability * surrogate.evaluate_path(states, actions)
+        total += path.probability * path_score(model, approximator, states, actions)
     return float(total)
 
 
 def surrogate_levels(model: MdpModel, approximator: EvtgApproximator) -> list[np.ndarray]:
     """``g_avg`` on every policy string of length 0..K, one table per length."""
-    surrogate = SurrogateObjective(model=model, approximator=approximator)
     ground = policy_ground_set(model)
     P = len(ground)
     return [
-        np.array([g_avg(surrogate, policies) for policies in itertools.product(ground, repeat=n)],
-                 dtype=float).reshape((P,) * n)
+        np.array([g_avg(model, approximator, policies)
+                  for policies in itertools.product(ground, repeat=n)], dtype=float).reshape((P,) * n)
         for n in range(model.horizon + 1)
     ]
 
@@ -167,9 +184,8 @@ class PdaoTree:
     expected_value: float
 
 
-def pdao_construct(surrogate: SurrogateObjective) -> PdaoTree:
+def pdao_construct(model: MdpModel, approximator: EvtgApproximator) -> PdaoTree:
     """Greedy on the path score at every node of the noise tree, min-index ties."""
-    model = surrogate.model
     K = model.horizon
     actions_by_history: dict[tuple[int, ...], int] = {}
     records: list[PathRecord] = []
@@ -177,7 +193,7 @@ def pdao_construct(surrogate: SurrogateObjective) -> PdaoTree:
     def walk(noise: tuple[int, ...], states: list[int], actions: list[int], probability: float):
         action = max(
             range(model.num_actions),
-            key=lambda a: surrogate.evaluate_path(states, actions + [a]),
+            key=lambda a: path_score(model, approximator, states, actions + [a]),
         )
         actions_by_history[noise] = action
         actions = actions + [action]

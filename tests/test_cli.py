@@ -449,6 +449,51 @@ class TestExitCodes:
         assert main(args) == 2
 
     @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("transition", 0, 1, 0), 1.9),
+            (("transition", 0, 1, 0), True),
+            (("transition", 0, 1, 0), 10**30),
+            (("noise", "support", 0), 0.5),
+            (("states",), 2.7),
+            (("actions",), 2.0),
+            (("horizon",), "2"),
+            (("initial_state",), True),
+            (("labels",), {"states": ["a", "b", "c", "d"]}),
+            (("labels",), {"actions": ["stay"]}),
+        ],
+        ids=["float_target", "bool_target", "huge_target", "float_symbol", "float_states",
+             "integral_float_actions", "string_horizon", "bool_initial_state",
+             "four_state_labels", "one_action_label"],
+    )
+    def test_parse_error_for_a_model_field_that_is_not_an_integer(self, chain_file, tmp_path,
+                                                                  where, value, capsys):
+        # Model files are never rounded or converted: each of these loaded
+        # as some other model before.
+        data = json.loads(Path(chain_file).read_text())
+        parent = data
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["solve-dp", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[0.9, 1], [1, 1]], [[0, 1], ["1", 1]], [[0, 1], [1, True]], [[0, 1], [1.0, 1]]],
+        ids=["fraction", "string", "bool", "integral_float"],
+    )
+    def test_parse_error_for_a_base_policy_entry_that_is_not_an_integer(self, chain_file,
+                                                                        tmp_path, table, capsys):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(table))
+        assert main(["run-adp", "--model", chain_file, "--scheme", "rollout", "--base-policy",
+                     str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid base policy table")
+
+    @pytest.mark.parametrize(
         "table",
         [[[2.0], [float("nan")]], [["a", 1]], [[2.0], [5.0, 1.0]]],
         ids=["non_finite", "non_numeric", "ragged"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from adpbound import (
 from adpbound.common import values_agree
 from conftest import chain_model, noisy_chain_model, zero_reward_model
 from mdp_reference import path_exact_evtg, path_policy_value
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 STAY_EVERYWHERE = ((0, 0), (0, 0))
 GO_EVERYWHERE = ((1, 1), (1, 1))
@@ -320,6 +323,26 @@ class TestModelFiles:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_golden_input_models_load_as_written(self):
+        # Every integer field comes back as the file has it; the noise
+        # probabilities are renormalized, which can move their last bit.
+        for path in sorted(GOLDEN_INPUTS.glob("model-*.json")):
+            written = json.loads(path.read_text())
+            loaded = model_to_dict(load_model(path))
+            for key in ("states", "actions", "horizon", "initial_state", "transition", "reward"):
+                assert loaded[key] == written[key], (path.name, key)
+            assert loaded["noise"]["support"] == written["noise"]["support"]
+            for p, q in zip(loaded["noise"]["probs"], written["noise"]["probs"]):
+                assert values_agree(p, q)
+
+    def test_label_counts_must_match_the_sizes(self):
+        with pytest.raises(ValueError, match="4 state labels for 2 states"):
+            MdpModel(2, 2, 2, 0, [1.0], [[[0], [1]], [[1], [1]]], [[1.0, 0.0], [5.0, 5.0]],
+                     state_labels=("a", "b", "c", "d"))
+        with pytest.raises(ValueError, match="1 action labels for 2 actions"):
+            MdpModel(2, 2, 2, 0, [1.0], [[[0], [1]], [[1], [1]]], [[1.0, 0.0], [5.0, 5.0]],
+                     action_labels=("stay",))
 
     def test_labels_round_trip(self, tmp_path):
         model = MdpModel(

@@ -18,6 +18,7 @@ from adpbound import (
     adp_bound_report,
     adp_forward,
     bellman_solve,
+    check_path_greedy,
     check_surrogate_monotonicity,
     enumerate_noise_paths,
     evaluate_policy_exact,
@@ -38,6 +39,10 @@ from conftest import GO, chain_model, schemes_for
 from mdp_reference import trajectory_reward
 
 STAY_BASE = ((0, 0), (0, 0))
+
+
+def check_path_greedy_on_the_myopic_run(model, approximator):
+    return check_path_greedy(model, approximator, adp_forward(model, myopic_w(model)))
 
 
 class TestMyopic:
@@ -187,7 +192,9 @@ class TestForwardScheme:
         ids=["extra_stage", "extra_state", "extra_action", "missing_stage"],
     )
     @pytest.mark.parametrize(
-        "entry", [adp_bound_report, adp_forward, check_surrogate_monotonicity],
+        "entry",
+        [adp_bound_report, adp_forward, check_surrogate_monotonicity,
+         check_path_greedy_on_the_myopic_run],
         ids=lambda fn: fn.__name__,
     )
     def test_table_must_match_the_model(self, shape, entry):

@@ -25,7 +25,6 @@ from adpbound import (
     EvtgApproximator,
     GeneratedInstanceSpec,
     MdpModel,
-    SurrogateObjective,
     adp_bound_report,
     adp_forward,
     bellman_solve,
@@ -52,6 +51,7 @@ from adpbound import (
 )
 from adpbound.cli import main
 from adpbound.common import DEFAULT_BUDGET, VALUE_TOL, strings_up_to, values_agree
+from adpbound.schemes import AdpRun, walk_noise_tree
 from adpbound.stringopt import _tables
 from conftest import schemes_for, zero_reward_model
 
@@ -64,29 +64,15 @@ def stay_rollout(model):
 
 
 class TestSurrogateEval:
+    """On the noiseless chain, g of a one-stage string is its path score, r + W at state 0."""
+
     def test_myopic_single_stage(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
-        assert s.evaluate_path((0,), (0,)) == 1.0
+        obj = policy_string_objective(m_chain, myopic_w(m_chain))
+        assert obj.objective.evaluate((obj.ground.index(P0),)) == 1.0
 
     def test_rollout_single_stage(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=stay_rollout(m_chain))
-        assert s.evaluate_path((0,), (1,)) == 5.0
-
-    def test_full_length_drops_continuation(self, m_chain):
-        class Exploding:
-            kind = "probe"
-
-            @staticmethod
-            def evaluate(stage, state, action):
-                raise AssertionError("continuation must not be consulted at full length")
-
-        s = SurrogateObjective(model=m_chain, approximator=Exploding())
-        assert s.evaluate_path((0, 1), (1, 0)) == 5.0
-
-    def test_length_mismatch(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
-        with pytest.raises(ValueError):
-            s.evaluate_path((0, 1), (1,))
+        obj = policy_string_objective(m_chain, stay_rollout(m_chain))
+        assert obj.objective.evaluate((obj.ground.index(P3),)) == 5.0
 
 
 class TestPolicyGroundSet:
@@ -126,30 +112,26 @@ class TestPdao:
     """The reference path-dependent tree, and the forward run that matches it."""
 
     def test_chain_myopic_tree(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=myopic_w(m_chain))
-        pdao = reference.pdao_construct(s)
+        pdao = reference.pdao_construct(m_chain, myopic_w(m_chain))
         assert pdao.paths[0].actions == (0, 0)
         assert pdao.expected_value == 2.0
         assert adp_forward(m_chain, myopic_w(m_chain)).paths == pdao.paths
 
     def test_chain_rollout_breaks_tie_low(self, m_chain):
-        s = SurrogateObjective(model=m_chain, approximator=stay_rollout(m_chain))
-        pdao = reference.pdao_construct(s)
+        pdao = reference.pdao_construct(m_chain, stay_rollout(m_chain))
         # Stage 1 compares 2 against 5; stage 2 ties at 5 and picks action 0.
         assert pdao.paths[0].actions == (1, 0)
         assert pdao.expected_value == 5.0
         assert adp_forward(m_chain, stay_rollout(m_chain)).paths == pdao.paths
 
     def test_noisy_tree_has_one_branch_per_symbol(self, m_noise):
-        s = SurrogateObjective(model=m_noise, approximator=myopic_w(m_noise))
-        pdao = reference.pdao_construct(s)
+        pdao = reference.pdao_construct(m_noise, myopic_w(m_noise))
         assert set(pdao.actions_by_history) == {(), (0,), (1,)}
         for record in pdao.paths:
             assert record.actions == (0, 0)
 
     def test_noisy_rollout_acts_per_realized_state(self, m_noise):
-        s = SurrogateObjective(model=m_noise, approximator=stay_rollout(m_noise))
-        pdao = reference.pdao_construct(s)
+        pdao = reference.pdao_construct(m_noise, stay_rollout(m_noise))
         by_noise = {record.noise: record for record in pdao.paths}
         assert by_noise[(0,)].states == (0, 1) and by_noise[(0,)].reward == 5.0
         assert by_noise[(1,)].states == (0, 0) and by_noise[(1,)].reward == 1.0
@@ -161,7 +143,7 @@ class TestPdao:
 
 def greedy_policies(obj):
     """The smallest-index greedy string of the averaged surrogate, as stage policies."""
-    return obj.policies_for(greedy_string(obj.objective, obj.surrogate.model.horizon).string)
+    return obj.policies_for(greedy_string(obj.objective, obj.model.horizon).string)
 
 
 class TestGps:
@@ -217,13 +199,24 @@ class TestSchemeEquivalences:
         for index, model in enumerate(mdp_sweep[:10]):
             run = adp_forward(model, myopic_w(model))
             for name, scheme in schemes_for(model, index).items():
-                surrogate = SurrogateObjective(model=model, approximator=scheme)
-                tree = {r.noise: r.actions for r in reference.pdao_construct(surrogate).paths}
+                tree = {r.noise: r.actions for r in reference.pdao_construct(model, scheme).paths}
                 expected = tuple(r.noise for r in run.paths if r.actions != tree[r.noise])
-                ok, mismatches = check_path_greedy(surrogate, run)
+                ok, mismatches = check_path_greedy(model, scheme, run)
                 assert mismatches == expected and ok == (not expected), (index, name)
                 flagged += len(mismatches)
         assert flagged > 0
+
+    def test_path_check_flags_each_path_once(self):
+        # One state paying 1 for action 0 and 0 for action 1: a run that
+        # always takes action 1 fails at every node, and each of its four
+        # noise paths is flagged once.
+        model = MdpModel(num_states=1, num_actions=2, horizon=3, initial_state=0,
+                         noise_probs=[0.5, 0.5], transition=[[[0, 0], [0, 0]]],
+                         reward=[[1.0, 0.0]])
+        run = AdpRun(paths=walk_noise_tree(model, ((1,),) * 3), expected_value=0.0)
+        ok, mismatches = check_path_greedy(model, myopic_w(model), run)
+        assert not ok
+        assert mismatches == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class TestMonotonicityCertificate:
@@ -367,10 +360,10 @@ class TestBoundReport:
         strings = []
         original = adpbound.surrogate._g_avg
 
-        def counted(surrogate, policies, paths):
+        def counted(model, approximator, policies, paths):
             if policies:
                 strings.append(policies)
-            return original(surrogate, policies, paths)
+            return original(model, approximator, policies, paths)
 
         monkeypatch.setattr(adpbound.surrogate, "_g_avg", counted)
         return strings
@@ -525,8 +518,7 @@ def test_certificate_matches_node_walk_reference(case):
     assert (cert.holds, cert.worst_slack) == (holds, report.worst_slack)
     if cert.witness is not None:
         prefix, string = cert.witness
-        surrogate = SurrogateObjective(model=model, approximator=w)
-        assert reference.g_avg(surrogate, string) - reference.g_avg(surrogate, prefix) < -VALUE_TOL
+        assert reference.g_avg(model, w, string) - reference.g_avg(model, w, prefix) < -VALUE_TOL
     assert (cert.witness is None) == holds
 
 
@@ -597,9 +589,9 @@ def test_stagewise_evidence_holds_off_the_greedy_string(case, data):
     assert [item.stage for item in evidence] == list(range(1, model.horizon + 1))
     for item in evidence:
         prefix = policies[: item.stage - 1]
-        candidates = [reference.g_avg(obj.surrogate, prefix + (c,)) for c in obj.ground]
+        candidates = [reference.g_avg(model, w, prefix + (c,)) for c in obj.ground]
         assert item.best_value == max(candidates)
-        assert item.attained_value == reference.g_avg(obj.surrogate, policies[: item.stage])
+        assert item.attained_value == reference.g_avg(model, w, policies[: item.stage])
         assert item.gap == item.best_value - item.attained_value
     assert not all(values_agree(i.attained_value, i.best_value) for i in evidence)
 
