@@ -32,7 +32,6 @@ from .mdp import (
     model_from_dict,
     model_to_dict,
     save_model,
-    simulate_policy_mc,
 )
 from .schemes import (
     EvtgApproximator,

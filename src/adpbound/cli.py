@@ -3,17 +3,18 @@
 Commands
 --------
 solve-dp          backward induction: value tables and the optimal policy
-run-adp           roll a scheme forward (exact expectation or seeded Monte Carlo)
+run-adp           roll a scheme forward: its exact expected value, with one
+                  record per noise path when the paths fit --budget
 bound-adp         certify one scheme: exact values, the curvature bound, the
                   monotonicity certificate and the scheme identities
                   (the forward run is path- and stage-wise greedy)
 verify-theorem1   guarantee sweep over generated string objectives
 
-Each command declares only the options it reads: --jobs and --strict belong to
-the two sweep commands (bound-adp, verify-theorem1), and solve-dp takes
-neither --budget nor --seed.  An option the command would ignore is a parse
-error: --theta without --scheme linearq, --base-policy without --scheme
-rollout, and --count, --states, --actions or --noise without --generate.
+Each command declares only the options it reads: --jobs, --strict and --seed
+belong to the two sweep commands (bound-adp, verify-theorem1), and solve-dp
+takes no --budget.  An option the command would ignore is a parse error:
+--theta without --scheme linearq, --base-policy without --scheme rollout,
+and --count, --states, --actions or --noise without --generate.
 
 Exit codes: 0 ok, 2 parse error, 3 budget exceeded, 4 failed certified
 assertion (bound-adp also exits 4 when its forward run fails the Theorem 2 or
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,7 +48,17 @@ from .generators import (
     random_base_policy,
     random_theta,
 )
-from .mdp import MdpModel, PolicyString, _is_integer, bellman_solve, load_model, simulate_policy_mc
+from .mdp import (
+    MdpModel,
+    PolicyString,
+    _all_entries,
+    _is_integer,
+    _is_number,
+    _load_json,
+    bellman_solve,
+    evaluate_policy_exact,
+    load_model,
+)
 from .reporting import csv_text, json_text, write_text_atomic
 from .schemes import adp_forward, make_scheme, scheme_policy
 from .stringopt import StringObjective, greedy_guarantee_report
@@ -136,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run-adp", help="roll a scheme forward on a model file")
     run.add_argument("--model", type=str, required=True, help="model file (JSON)")
     _add_scheme(run)
-    run.add_argument("--mc", type=positive_int, default=None, metavar="SAMPLES",
-                     help="seeded Monte Carlo estimate instead of the exact expectation")
-    _add_shared(run, "--budget", "--seed", "--out", "--format")
+    _add_shared(run, "--budget", "--out", "--format")
     run.set_defaults(func=cmd_run_adp)
 
     bound = sub.add_parser("bound-adp", help="certified performance bound for a scheme")
@@ -179,36 +187,23 @@ def _ignored_option(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _load_json_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON in {path}: {exc}") from None
-
-
 def _load_model_with_horizon(path: str, horizon: Optional[int]) -> MdpModel:
+    # --K is parsed as at least 1, so the replaced model is valid.
     model = load_model(path)
-    if horizon is not None:
-        try:
-            model = dataclasses.replace(model, horizon=horizon)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from None
-    return model
+    return model if horizon is None else dataclasses.replace(model, horizon=horizon)
 
 
-def _scheme_inputs(
-    args: argparse.Namespace,
-) -> tuple[Optional[PolicyString], Optional[np.ndarray]]:
+def _scheme_inputs(args: argparse.Namespace) -> tuple[Optional[PolicyString], Any]:
     """The parsed ``--base-policy`` and ``--theta`` files, or None where not given.
 
     Each file is read and parsed once per command, so every instance of a
-    sweep gets the same inputs.
+    sweep gets the same inputs.  The theta table stays JSON numbers, which
+    ``linear_q_w`` converts and checks for shape.
     """
     base_policy = None
     theta = None
     if args.base_policy is not None:
-        raw = _load_json_file(args.base_policy)
+        raw = _load_json(args.base_policy)
         if not isinstance(raw, list) or not all(
             isinstance(stage, list) and all(map(_is_integer, stage)) for stage in raw
         ):
@@ -217,17 +212,14 @@ def _scheme_inputs(
             )
         base_policy = tuple(map(tuple, raw))
     if args.theta is not None:
-        raw = _load_json_file(args.theta)
-        try:
-            theta = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"invalid theta table: {exc}") from None
+        theta = _load_json(args.theta)
+        if not _all_entries(theta, _is_number):
+            raise ModelFormatError("invalid theta table: entries must be JSON numbers")
     return base_policy, theta
 
 
 def _scheme_for(model: MdpModel, args: argparse.Namespace,
-                base_policy: Optional[PolicyString], theta: Optional[np.ndarray],
-                index: int = 0):
+                base_policy: Optional[PolicyString], theta: Any, index: int = 0):
     if getattr(args, "generate", None) is not None:
         # Generated sweeps derive missing scheme inputs from the seed.
         rng = np.random.Generator(
@@ -239,7 +231,7 @@ def _scheme_for(model: MdpModel, args: argparse.Namespace,
             theta = random_theta(rng, model)
     try:
         return make_scheme(model, args.scheme, base_policy=base_policy, theta=theta)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(str(exc)) from None
 
 
@@ -330,21 +322,14 @@ def cmd_solve_dp(args: argparse.Namespace) -> int:
 def cmd_run_adp(args: argparse.Namespace) -> int:
     model = _load_model_with_horizon(args.model, args.horizon)
     scheme = _scheme_for(model, args, *_scheme_inputs(args))
-    report: dict = {"command": "run-adp", "scheme": args.scheme}
-    if args.mc is not None:
-        mean, stderr = simulate_policy_mc(
-            model, scheme_policy(model, scheme), samples=args.mc, seed=args.seed
-        )
-        report.update({"mode": "mc", "mc_samples": args.mc, "seed": args.seed,
-                       "mc_mean": mean, "mc_stderr": stderr})
-    else:
+    try:
         run = adp_forward(model, scheme, budget=args.budget)
-        report.update({
-            "mode": "exact",
-            "expected_value": run.expected_value,
-            "paths": [dataclasses.asdict(record) for record in run.paths],
-        })
-    _emit_single(report, args)
+        value, paths = run.expected_value, [dataclasses.asdict(record) for record in run.paths]
+    except BudgetExceededError:
+        # Backward evaluation walks no noise paths, so it needs no budget.
+        value, paths = evaluate_policy_exact(model, scheme_policy(model, scheme)), None
+    _emit_single({"command": "run-adp", "scheme": args.scheme, "mode": "exact",
+                  "expected_value": value, "paths": paths}, args)
     return EXIT_OK
 
 

@@ -32,7 +32,11 @@ class BudgetExceededError(RuntimeError):
 
 
 class UndefinedCurvatureError(RuntimeError):
-    """Every term of a curvature maximum was skipped, leaving the value undefined."""
+    """Every term of a curvature maximum was skipped, so it is undefined; ``skipped`` counts them."""
+
+    def __init__(self, message: str, skipped: int = 0) -> None:
+        super().__init__(message)
+        self.skipped = skipped
 
 
 class GuaranteeViolationError(AssertionError):

@@ -4,16 +4,13 @@ Models are finite state/action tables driven by discrete i.i.d. noise; a
 deterministic problem is simply a model whose noise support has size one.
 Policies are per-stage state-to-action tables.  One backward recursion,
 ``backward_values``, gives both the exact value of a policy string (following
-its actions) and the optimal value and policy tables (taking the max).  A
-seeded Monte Carlo estimator is available as an opt-in fallback for noise
-trees too large to enumerate path by path.
+its actions) and the optimal value and policy tables (taking the max).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +35,6 @@ __all__ = [
     "backward_values",
     "evaluate_policy_exact",
     "bellman_solve",
-    "simulate_policy_mc",
     "model_from_dict",
     "model_to_dict",
     "load_model",
@@ -232,55 +228,38 @@ def bellman_solve(model: MdpModel) -> tuple[PolicyString, ValueTables]:
     return policy, ValueTables(V=V[:-1], Q=Q)
 
 
-def simulate_policy_mc(
-    model: MdpModel, policy: PolicyString, samples: int, seed: int
-) -> tuple[float, float]:
-    """Seeded Monte Carlo estimate of :func:`evaluate_policy_exact`.
-
-    Draws all noise from a PCG64 generator seeded via ``SeedSequence(seed)``,
-    so identical seeds reproduce identical estimates.  Returns (mean, standard
-    error of the mean); the standard error is 0 for a single sample.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    validate_policy_string(model, policy)
-    k = len(policy)
-    if k == 0:
-        return 0.0, 0.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = None
-    if k > 1:
-        draws = rng.choice(model.noise_size, size=(samples, k - 1), p=model.noise_probs)
-    states = np.full(samples, model.initial_state, dtype=np.int64)
-    totals = np.zeros(samples)
-    for i, stage in enumerate(policy):
-        actions = np.asarray(stage, dtype=np.int64)[states]
-        totals += model.reward[states, actions]
-        if i < k - 1:
-            assert draws is not None
-            states = model.transition[states, actions, draws[:, i]]
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
-
-
 def _is_integer(value) -> bool:
     """Whether a JSON value is an integer; a bool is not."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integers(value) -> bool:
-    """Whether a JSON value is an integer or an array, nested to any depth, of integers."""
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number, integer or float; a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_entries(value, predicate) -> bool:
+    """Whether a JSON value, or each entry of an array nested to any depth, passes ``predicate``."""
     if isinstance(value, list):
-        return all(_integers(item) for item in value)
-    return _is_integer(value)
+        return all(_all_entries(item, predicate) for item in value)
+    return predicate(value)
+
+
+def _load_json(path):
+    """The JSON value in a UTF-8 file; other bytes or invalid JSON are a ``ModelFormatError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"invalid JSON in {path}: {exc}") from None
 
 
 def model_from_dict(data: dict) -> MdpModel:
     """Build a model from the JSON instance schema, rejecting malformed input.
 
     Sizes, the initial state, transition targets and noise symbols must be
-    JSON integers; none is rounded or converted from another type.
+    JSON integers, and noise probabilities, rewards and features JSON
+    numbers; none is rounded or converted from another type.
     """
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
@@ -291,17 +270,21 @@ def model_from_dict(data: dict) -> MdpModel:
     for key in ("states", "actions", "horizon", "initial_state"):
         if not _is_integer(data[key]):
             raise ModelFormatError(f"'{key}' must be an integer, got {data[key]!r}")
-    if not _integers(data["transition"]):
+    if not _all_entries(data["transition"], _is_integer):
         raise ModelFormatError("'transition' entries must be integer state indices")
     noise = data["noise"]
     if not isinstance(noise, dict) or "support" not in noise or "probs" not in noise:
         raise ModelFormatError("'noise' must be an object with 'support' and 'probs'")
     if not isinstance(noise["support"], list) or not all(map(_is_integer, noise["support"])):
         raise ModelFormatError("'noise.support' must be an array of integers")
+    for name, value in (("noise.probs", noise["probs"]), ("reward", data["reward"]),
+                        ("features", data.get("features"))):
+        if value is not None and not _all_entries(value, _is_number):
+            raise ModelFormatError(f"'{name}' entries must be JSON numbers")
     support = tuple(noise["support"])
     try:
         probs = np.asarray(noise["probs"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid noise block: {exc}") from None
     if probs.ndim != 1 or len(support) != probs.size:
         raise ModelFormatError("'noise.support' and 'noise.probs' must be equal-length arrays")
@@ -320,10 +303,10 @@ def model_from_dict(data: dict) -> MdpModel:
             horizon=data["horizon"],
             initial_state=data["initial_state"],
             noise_probs=probs,
-            transition=np.asarray(data["transition"], dtype=np.int64),
-            reward=np.asarray(data["reward"], dtype=float),
+            transition=data["transition"],
+            reward=data["reward"],
             noise_support=support,
-            features=None if data.get("features") is None else np.asarray(data["features"], dtype=float),
+            features=data.get("features"),
             state_labels=None if "states" not in labels else tuple(str(s) for s in labels["states"]),
             action_labels=None if "actions" not in labels else tuple(str(s) for s in labels["actions"]),
         )
@@ -357,12 +340,7 @@ def model_to_dict(model: MdpModel) -> dict:
 
 
 def load_model(path) -> MdpModel:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON in {path}: {exc}") from None
-    return model_from_dict(data)
+    return model_from_dict(_load_json(path))
 
 
 def save_model(model: MdpModel, path) -> None:

@@ -380,7 +380,7 @@ def _eta(full: np.ndarray, trace: GreedyTrace, horizon: int) -> tuple[float, int
         terms = scale * (1.0 - (spliced - frac * full) / denom)
         best = max(best, float(terms.max()))
     if best == -math.inf:
-        raise UndefinedCurvatureError("every total-curvature term was skipped")
+        raise UndefinedCurvatureError("every total-curvature term was skipped", skipped)
     return best, skipped
 
 
@@ -418,7 +418,7 @@ def _sigma(tables: list[np.ndarray], trace: GreedyTrace, horizon: int) -> tuple[
             if terms.size:
                 best = max(best, float(terms.max()))
     if best == -math.inf:
-        raise UndefinedCurvatureError("every forward-curvature term was skipped")
+        raise UndefinedCurvatureError("every forward-curvature term was skipped", skipped)
     return best, skipped
 
 
@@ -521,19 +521,18 @@ def greedy_guarantee_report(
     diminishing, _ = _diminishing_return(tables)
 
     flags: list[str] = []
-    skipped = 0
-    try:
-        eta, eta_skipped = _eta(tables[horizon], trace, horizon)
-        skipped += eta_skipped
-    except UndefinedCurvatureError:
-        eta = math.nan
-        flags.append("eta_undefined")
-    try:
-        sigma, sigma_skipped = _sigma(tables, trace, horizon)
-        skipped += sigma_skipped
-    except UndefinedCurvatureError:
-        sigma = math.nan
-        flags.append("sigma_undefined")
+
+    def measured(name, curvature, *args) -> tuple[float, int]:
+        # An undefined curvature is NaN and a flag; its skipped terms still count.
+        try:
+            return curvature(*args)
+        except UndefinedCurvatureError as exc:
+            flags.append(f"{name}_undefined")
+            return math.nan, exc.skipped
+
+    eta, eta_skipped = measured("eta", _eta, tables[horizon], trace, horizon)
+    sigma, sigma_skipped = measured("sigma", _sigma, tables, trace, horizon)
+    skipped = eta_skipped + sigma_skipped
 
     eta_defined = not math.isnan(eta)
     sigma_defined = not math.isnan(sigma)

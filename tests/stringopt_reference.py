@@ -139,7 +139,7 @@ def eta(f: StringObjective, trace: GreedyTrace, horizon: int) -> tuple[float, in
             if term > best:
                 best = term
     if best == -math.inf:
-        raise UndefinedCurvatureError("every total-curvature term was skipped")
+        raise UndefinedCurvatureError("every total-curvature term was skipped", skipped)
     return best, skipped
 
 
@@ -161,7 +161,7 @@ def sigma(f: StringObjective, trace: GreedyTrace, horizon: int, tol: float) -> t
                 if term > best:
                     best = term
     if best == -math.inf:
-        raise UndefinedCurvatureError("every forward-curvature term was skipped")
+        raise UndefinedCurvatureError("every forward-curvature term was skipped", skipped)
     return best, skipped
 
 

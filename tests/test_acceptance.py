@@ -191,8 +191,8 @@ def test_report_determinism(tmp_path):
         "solve": ["solve-dp", "--model", str(chain_path)],
         "run_exact": ["run-adp", "--model", str(chain_path), "--scheme", "rollout",
                       "--base-policy", str(base_path)],
-        "run_mc": ["run-adp", "--model", str(chain_path), "--scheme", "myopic",
-                   "--mc", "500", "--seed", "17"],
+        "run_over_budget": ["run-adp", "--model", str(chain_path), "--scheme", "myopic",
+                            "--budget", "0"],
         "bound": ["bound-adp", "--model", str(chain_path), "--scheme", "myopic"],
         "bound_unfitted": ["bound-adp", "--model", str(chain_path), "--scheme", "myopic",
                            "--budget", "10"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ from adpbound import (
     GeneratedInstanceSpec,
     MdpModel,
     adp_bound_report,
+    adp_forward,
     bellman_solve,
     bound_report_to_dict,
     evaluate_policy_exact,
     generate_mdp_instances,
+    load_model,
     make_scheme,
     myopic_w,
     random_base_policy,
@@ -41,6 +44,18 @@ def chain_file(tmp_path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def edited_model_file(model_file, tmp_path, where, value):
+    """A copy of ``model_file`` whose entry at the key path ``where`` is ``value``."""
+    data = json.loads(Path(model_file).read_text())
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return bad
 
 
 class TestSolveDp:
@@ -88,15 +103,6 @@ class TestRunAdp:
         assert code == 0
         assert read_json(out)["expected_value"] == 5.0
 
-    def test_mc_mode_is_seeded(self, chain_file, tmp_path):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["run-adp", "--model", chain_file, "--scheme", "myopic", "--mc", "200",
-                "--seed", "9"]
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert read_json(out1)["mc_mean"] == 2.0
-
     def test_long_horizon_is_walked_without_recursion(self, chain_file, tmp_path):
         # One noise path of 1500 stages: deeper than Python's recursion limit.
         out = tmp_path / "run.json"
@@ -107,20 +113,31 @@ class TestRunAdp:
         exact = evaluate_policy_exact(model, scheme_policy(model, myopic_w(model)))
         assert values_agree(read_json(out)["expected_value"], exact)
 
-    def test_mc_rollout_fits_a_budget_below_the_noise_tree(self, tmp_path):
-        # 3^4 = 81 noise paths exceed the budget of 10, which only --mc avoids;
-        # the rollout continuation comes from backward evaluation, not paths.
+    def test_noise_tree_over_the_budget_gets_backward_evaluation(self, tmp_path):
+        # 3^4 = 81 noise paths: at a budget of 80 no path is listed and the
+        # value is the backward evaluation of the scheme's policy table.
         spec = GeneratedInstanceSpec(kind="random_mdp", count=1, seed=3, num_states=2,
                                      num_actions=2, noise_size=3, horizon=5)
-        model = tmp_path / "deep.json"
-        save_model(generate_mdp_instances(spec)[0], model)
+        model_file = tmp_path / "deep.json"
+        save_model(generate_mdp_instances(spec)[0], model_file)
+        # The model as the command reads it back from the file.
+        model = load_model(model_file)
         base = tmp_path / "base.json"
         base.write_text(json.dumps([[0, 0]] * 5))
-        args = ["run-adp", "--model", str(model), "--scheme", "rollout",
-                "--base-policy", str(base), "--budget", "10"]
-        assert main(args + ["--mc", "1000", "--out", str(tmp_path / "mc.json")]) == 0
-        assert read_json(tmp_path / "mc.json")["mc_samples"] == 1000
-        assert main(args + ["--out", str(tmp_path / "exact.json")]) == 3
+        args = ["run-adp", "--model", str(model_file), "--scheme", "rollout",
+                "--base-policy", str(base)]
+        assert main(args + ["--budget", "80", "--out", str(tmp_path / "over.json")]) == 0
+        over = read_json(tmp_path / "over.json")
+        assert list(over) == ["command", "scheme", "mode", "expected_value", "paths"]
+        assert over["mode"] == "exact"
+        assert over["paths"] is None
+        scheme = make_scheme(model, "rollout", base_policy=((0, 0),) * 5)
+        assert over["expected_value"] == evaluate_policy_exact(model, scheme_policy(model, scheme))
+        assert main(args + ["--budget", "81", "--out", str(tmp_path / "fit.json")]) == 0
+        fit = read_json(tmp_path / "fit.json")
+        assert len(fit["paths"]) == 81
+        assert fit["expected_value"] == adp_forward(model, scheme).expected_value
+        assert values_agree(fit["expected_value"], over["expected_value"])
 
 
 class TestBoundAdp:
@@ -331,13 +348,24 @@ class TestReachedTies:
             assert report["ratio"] >= report["bound_finite_K"] - 1e-12
 
 
+def declared_options() -> dict[str, list[str]]:
+    """Each command's option strings, as its subparser declares them, without ``--help``."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return {
+        name: [option for action in sub._actions for option in action.option_strings
+               if option not in ("-h", "--help")]
+        for name, sub in commands.items()
+    }
+
+
 class TestOptions:
     """Each command declares only the options it reads."""
 
     OPTIONS = {
         "solve-dp": {"--model", "--K", "--out", "--format"},
-        "run-adp": {"--model", "--scheme", "--base-policy", "--theta", "--K", "--mc",
-                    "--budget", "--seed", "--out", "--format"},
+        "run-adp": {"--model", "--scheme", "--base-policy", "--theta", "--K", "--budget",
+                    "--out", "--format"},
         "bound-adp": {"--model", "--scheme", "--base-policy", "--theta", "--K", "--generate",
                       "--count", "--states", "--actions", "--noise", "--budget", "--seed",
                       "--out", "--format", "--strict", "--jobs"},
@@ -346,15 +374,24 @@ class TestOptions:
     }
 
     def test_each_command_declares_its_option_set(self):
-        commands = next(action for action in build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction)).choices
-        declared = {
-            name: [option for action in sub._actions for option in action.option_strings
-                   if option not in ("-h", "--help")]
-            for name, sub in commands.items()
-        }
+        declared = declared_options()
         assert {name: set(options) for name, options in declared.items()} == self.OPTIONS
-        assert sum(len(options) for options in declared.values()) == 40
+        assert sum(len(options) for options in declared.values()) == 38
+
+    def test_readme_option_table_matches_the_parser(self):
+        # The `| `command` | options |` rows under "Command-line interface",
+        # before its first subsection.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Command-line interface\n", 1)[1].split("\n#", 1)[0]
+        table = {
+            match.group(1): re.findall(r"`(--[A-Za-z-]+)`", match.group(2))
+            for match in re.finditer(r"^\| `([a-z0-9-]+)` \| (.*) \|$", section, re.MULTILINE)
+        }
+        declared = declared_options()
+        assert sorted(table) == sorted(declared)
+        for name, options in table.items():
+            assert len(options) == len(set(options)), name
+            assert set(options) == set(declared[name]), name
 
     REQUIRED = {
         "solve-dp": ["--model", "unused.json"],
@@ -372,6 +409,9 @@ class TestOptions:
             ("run-adp", "--exact"),
             ("run-adp", "--strict"),
             ("run-adp", "--jobs 3"),
+            # Only the Monte Carlo sampler read these; run-adp is exact.
+            ("run-adp", "--mc 10"),
+            ("run-adp", "--seed 1"),
             ("check-equivalence", "--strict"),
             # The command is gone: bound-adp certifies the same identities.
             ("check-equivalence", "--scheme myopic"),
@@ -404,7 +444,7 @@ class TestExitCodes:
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--K", "0"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--ground-size", "0"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--count", "-2"],
-            ["run-adp", "--model", "unused.json", "--scheme", "myopic", "--mc", "0"],
+            ["run-adp", "--model", "unused.json", "--scheme", "myopic", "--K", "0"],
             ["solve-dp", "--model", "unused.json", "--K", "zero"],
             ["bound-adp", "--generate", "random_mdp", "--scheme", "myopic", "--seed", "-1"],
             ["verify-theorem1", "--generate", "coverage_submodular", "--seed", "-1"],
@@ -470,13 +510,7 @@ class TestExitCodes:
                                                                   where, value, capsys):
         # Model files are never rounded or converted: each of these loaded
         # as some other model before.
-        data = json.loads(Path(chain_file).read_text())
-        parent = data
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad = edited_model_file(chain_file, tmp_path, where, value)
         assert main(["solve-dp", "--model", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -494,9 +528,55 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: invalid base policy table")
 
     @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("reward", 0, 0), "1"),
+            (("reward", 1, 1), True),
+            (("noise", "probs", 0), True),
+            (("features", 0, 0), "1.0"),
+        ],
+        ids=["string_reward", "bool_reward", "bool_prob", "string_feature"],
+    )
+    @pytest.mark.parametrize("command", ["solve-dp", "run-adp"])
+    def test_parse_error_for_a_model_number_that_is_not_a_json_number(
+        self, chain_file, tmp_path, command, where, value, capsys
+    ):
+        bad = edited_model_file(chain_file, tmp_path, where, value)
+        args = [command, "--model", str(bad)]
+        if command == "run-adp":
+            theta = tmp_path / "theta.json"
+            theta.write_text(json.dumps([[2.0], [5.0]]))
+            args += ["--scheme", "linearq", "--theta", str(theta)]
+        assert main(args) == 2
+        assert f"error: '{where[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table", [[["2.0"], [5.0]], [[2.0], [True]]], ids=["string", "bool"]
+    )
+    def test_parse_error_for_a_theta_entry_that_is_not_a_json_number(self, chain_file,
+                                                                    tmp_path, table, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(table))
+        assert main(["run-adp", "--model", chain_file, "--scheme", "linearq",
+                     "--theta", str(theta)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid theta table")
+
+    @pytest.mark.parametrize(
+        "option, scheme", [("--model", "myopic"), ("--base-policy", "rollout"),
+                           ("--theta", "linearq")],
+    )
+    def test_parse_error_for_a_file_that_is_not_utf8(self, chain_file, tmp_path, option,
+                                                    scheme, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00garbage")
+        args = {"--model": chain_file, "--scheme": scheme, option: str(bad)}
+        assert main(["run-adp", *(item for pair in args.items() for item in pair)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}")
+
+    @pytest.mark.parametrize(
         "table",
-        [[[2.0], [float("nan")]], [["a", 1]], [[2.0], [5.0, 1.0]]],
-        ids=["non_finite", "non_numeric", "ragged"],
+        [[[2.0], [float("nan")]], [["a", 1]], [[2.0], [5.0, 1.0]], [[2.0], [10**400]]],
+        ids=["non_finite", "non_numeric", "ragged", "overflow"],
     )
     def test_parse_error_for_bad_theta(self, chain_file, tmp_path, table):
         theta = tmp_path / "theta.json"

@@ -32,9 +32,11 @@ repository root and say in the change why they moved::
         PYTHONPATH=src python -m adpbound.cli run-adp --model $model --scheme $scheme $base \\
           --out tests/golden/run-adp-$scheme-S2A2N${noise}K3/report.json
       done
-      PYTHONPATH=src python -m adpbound.cli run-adp --model $model --scheme myopic \\
-        --mc 200 --seed 5 --out tests/golden/run-adp-mc-myopic-S2A2N${noise}K3/report.json
     done
+    # 9 noise paths over a budget of 8: no path records, backward evaluation.
+    PYTHONPATH=src python -m adpbound.cli run-adp \\
+      --model tests/golden/inputs/model-S2A2N3K3.json --scheme myopic --budget 8 \\
+      --out tests/golden/run-adp-over-budget-myopic-S2A2N3K3/report.json
 
 The model files were written once with ``save_model`` from
 ``generate_mdp_instances(GeneratedInstanceSpec(kind="random_mdp", count=1,
@@ -89,12 +91,9 @@ SINGLES = {
         for scheme in ("myopic", "rollout", "exact_evtg")
         for noise in (2, 3)
     },
-    **{
-        f"run-adp-mc-myopic-S2A2N{noise}K3": [
-            "run-adp", *_model(noise), "--scheme", "myopic", "--mc", "200", "--seed", "5",
-        ]
-        for noise in (2, 3)
-    },
+    "run-adp-over-budget-myopic-S2A2N3K3": [
+        "run-adp", *_model(3), "--scheme", "myopic", "--budget", "8",
+    ],
 }
 
 CASES = {**SWEEPS, **SINGLES}

@@ -33,7 +33,6 @@ from adpbound import (
     rollout_w,
     save_model,
     scheme_policy,
-    simulate_policy_mc,
 )
 from adpbound.common import values_agree
 from conftest import chain_model, noisy_chain_model, zero_reward_model
@@ -245,34 +244,6 @@ def test_backward_values_match_path_oracle(case):
         oracle = path_exact_evtg(model, policy[stage:], stage, x, a)
         assert values_agree(w.evaluate(stage, x, a), oracle)
     assert scheme_policy(model, exact_evtg_w(model)) == bellman_solve(model)[0]
-
-
-class TestMonteCarlo:
-    def test_deterministic_model_is_exact(self, m_chain):
-        for seed in (0, 1, 12345):
-            mean, stderr = simulate_policy_mc(m_chain, STAY_EVERYWHERE, 64, seed)
-            assert mean == 2.0
-            assert stderr == 0.0
-
-    def test_noisy_model_within_three_stderr(self, m_noise):
-        # Policy "go then stay": exact value 0 + 0.5*5 + 0.5*1 = 3.
-        policy = ((1, 1), (0, 0))
-        exact = evaluate_policy_exact(m_noise, policy)
-        assert exact == 3.0
-        mean, stderr = simulate_policy_mc(m_noise, policy, 100_000, seed=7)
-        assert stderr > 0.0
-        assert abs(mean - exact) <= 3.0 * stderr
-
-    def test_single_sample(self, m_noise):
-        mean, stderr = simulate_policy_mc(m_noise, ((1, 1), (0, 0)), 1, seed=3)
-        assert stderr == 0.0
-        assert mean in (5.0, 1.0)
-
-    def test_seed_reproducibility(self, m_noise):
-        policy = ((1, 0), (0, 1))
-        first = simulate_policy_mc(m_noise, policy, 1000, seed=42)
-        second = simulate_policy_mc(m_noise, policy, 1000, seed=42)
-        assert first == second
 
 
 class TestModelFiles:

@@ -31,7 +31,6 @@ from adpbound import (
     random_base_policy,
     rollout_w,
     scheme_policy,
-    simulate_policy_mc,
 )
 from adpbound.common import VALUE_TOL, values_agree
 from adpbound.schemes import walk_noise_tree
@@ -222,29 +221,20 @@ class TestSchemePolicy:
                     assert policy[k][x] == a, name
 
 
-def simulate_scheme(model, scheme, samples, seed):
-    return simulate_policy_mc(model, scheme_policy(model, scheme), samples, seed)
+def test_forward_run_value_matches_backward_evaluation(m_chain, mdp_sweep):
+    # The path sum, which bound-adp reports as adp_value, against backward
+    # evaluation of the scheme's policy table: bit for bit on the one-path
+    # chain, within the certified tolerance on the sweep.
+    def both_routes(model, scheme):
+        exact = evaluate_policy_exact(model, scheme_policy(model, scheme))
+        return adp_forward(model, scheme).expected_value, exact
 
-
-class TestForwardMonteCarlo:
-    def test_deterministic_model_matches_exact(self, m_chain):
-        for name, scheme in schemes_for(m_chain, 0).items():
-            exact = adp_forward(m_chain, scheme).expected_value
-            mean, stderr = simulate_scheme(m_chain, scheme, samples=32, seed=11)
-            assert mean == exact, name
-            assert stderr == 0.0
-
-    def test_noisy_model_within_three_stderr(self, m_noise):
-        scheme = rollout_w(m_noise, STAY_BASE)
-        exact = adp_forward(m_noise, scheme).expected_value
-        mean, stderr = simulate_scheme(m_noise, scheme, samples=50_000, seed=5)
-        assert abs(mean - exact) <= 3.0 * stderr
-
-    def test_seeded_reproducibility(self, m_noise):
-        scheme = myopic_w(m_noise)
-        assert simulate_scheme(m_noise, scheme, 500, seed=9) == simulate_scheme(
-            m_noise, scheme, 500, seed=9
-        )
+    for name, scheme in schemes_for(m_chain, 0).items():
+        path_sum, exact = both_routes(m_chain, scheme)
+        assert path_sum == exact, name
+    for index, model in enumerate(mdp_sweep):
+        for name, scheme in schemes_for(model, index).items():
+            assert values_agree(*both_routes(model, scheme)), (index, name)
 
 
 ROLLOUT_BASE_SEED = 4242

@@ -62,11 +62,11 @@ def _objective(kind: str, ground: int, horizon: int, seed: int) -> StringObjecti
 
 
 def _outcome(fn, *args):
-    """The result of ``fn``, or the fact that the curvature was undefined."""
+    """The (curvature, skipped count) of ``fn``; the curvature is None where it is undefined."""
     try:
         return fn(*args)
-    except UndefinedCurvatureError:
-        return "undefined"
+    except UndefinedCurvatureError as exc:
+        return None, exc.skipped
 
 
 @given(
@@ -99,18 +99,32 @@ def test_tables_match_loop_reference(kind, ground, horizon, seed):
     monotone, _, worst_slack = reference.prefix_monotone(f, horizon, value_tol)
     assert (report.prefix_monotone, report.worst_slack) == (monotone, worst_slack)
     assert report.diminishing_return == reference.diminishing_return(f, horizon, value_tol)[0]
-    skipped = 0
-    if eta == "undefined":
+    if eta[0] is None:
         assert "eta_undefined" in report.flags
     else:
         assert report.eta == eta[0]
-        skipped += eta[1]
-    if sigma == "undefined":
+    if sigma[0] is None:
         assert "sigma_undefined" in report.flags
     else:
         assert report.sigma == sigma[0]
-        skipped += sigma[1]
-    assert report.skipped_terms == skipped
+    # An undefined curvature still counts the terms it skipped.
+    assert report.skipped_terms == eta[1] + sigma[1]
+
+
+def test_skipped_terms_count_every_term_of_an_undefined_curvature():
+    # On the zero objective every term is skipped: 2 splits x 8 full strings
+    # for eta, and 14 + 6 + 2 blocks for sigma.
+    f = table_objective([np.zeros((2,) * n) for n in range(4)])
+    trace = greedy_string(f, 3)
+    assert _outcome(reference.eta, f, trace, 3) == (None, 16)
+    assert _outcome(reference.sigma, f, trace, 3, reference.table_tol(f, 3, DENOM_TOL)) == (
+        None, 22
+    )
+    assert _outcome(total_curvature_eta, f, trace, 3) == (None, 16)
+    assert _outcome(forward_curvature_sigma, f, trace, 3) == (None, 22)
+    report = greedy_guarantee_report(f, 3)
+    assert {"eta_undefined", "sigma_undefined"} <= set(report.flags)
+    assert report.skipped_terms == 38
 
 
 @given(
@@ -138,11 +152,11 @@ def test_named_greedy_string_is_certified_along_itself(kind, ground, horizon, se
     eta = _outcome(reference.eta, f, trace, horizon)
     denom_tol = reference.table_tol(f, horizon, DENOM_TOL)
     sigma = _outcome(reference.sigma, f, trace, horizon, denom_tol)
-    if eta == "undefined":
+    if eta[0] is None:
         assert "eta_undefined" in report.flags
     else:
         assert report.eta == eta[0]
-    if sigma == "undefined":
+    if sigma[0] is None:
         assert "sigma_undefined" in report.flags
     else:
         assert report.sigma == sigma[0]
